@@ -13,6 +13,7 @@ import io
 import logging
 import os
 import sys
+from pathlib import Path
 
 from .analysis import AnalyzerConfig, load_stopwords_file
 from .corpus import CorpusStats, parse_corpus
@@ -39,7 +40,7 @@ from .expansion import (
     expansion_stats,
     load_thesaurus,
 )
-from .index import Index, build_index, build_index_to_dir
+from .index import Index, build_index, build_index_to_dir, read_config
 from .models import MODEL_IDS, ModelParams, check_model_id
 from .retrieval import build_query, oracle_rank, parse_topics, rank, write_run, write_topics
 from .util import atomic_write_text
@@ -113,16 +114,13 @@ class Settings:
             raise ConfigError(f"missing required option: --{key.replace('_', '-')}")
         return value
 
-    def need_path(self, key: str):
+    def need_path(self, key: str) -> Path:
         path = self.need(key)
         if not os.path.exists(path):
             raise ConfigError(f"--{key.replace('_', '-')}: path does not exist: {path}")
-        return path
+        return Path(path)
 
     def analyzer(self) -> AnalyzerConfig:
-        index_dir = self.get("index_dir")
-        if index_dir and os.path.exists(os.path.join(index_dir, "header.json")):
-            return Index.load(index_dir).cfg
         stopwords = frozenset()
         stopword_path = self.get("stopwords")
         if stopword_path:
@@ -266,7 +264,8 @@ def cmd_run(settings: Settings) -> int:
 def cmd_expand(settings: Settings) -> int:
     topics = parse_topics(settings.need_path("topics"))
     fields = settings.get("fields", "TD")
-    cfg_analyzer = settings.analyzer()
+    index_dir = settings.get("index_dir")
+    cfg_analyzer = read_config(index_dir) if index_dir else settings.analyzer()
     thesaurus = load_thesaurus(settings.need_path("thesaurus"), cfg_analyzer)
     policy = settings.expansion_policy(fields)
     output = settings.need("output")
@@ -286,24 +285,22 @@ def cmd_expand(settings: Settings) -> int:
     return 0
 
 
-def _run_files(runs: list[str]) -> list[str]:
-    files: list[str] = []
+def _run_files(runs: list[str]) -> list[Path]:
+    files: list[Path] = []
     for path in runs:
         if not os.path.exists(path):
             raise ConfigError(f"run path does not exist: {path}")
         if os.path.isdir(path):
-            files.extend(
-                os.path.join(path, n) for n in sorted(os.listdir(path)) if n.endswith(".run")
-            )
+            files.extend(Path(path, n) for n in sorted(os.listdir(path)) if n.endswith(".run"))
         else:
-            files.append(path)
+            files.append(Path(path))
     if not files:
         raise ConfigError("no run files to evaluate")
     return files
 
 
-def _model_of_run_file(path: str) -> str:
-    name = os.path.basename(path)
+def _model_of_run_file(path: Path) -> str:
+    name = path.name
     if name.endswith(".run"):
         name = name[: -len(".run")]
     if "." in name:

@@ -215,10 +215,11 @@ def evaluate_run(
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     result = EvalResult(model=model, cutoff=cutoff)
+    judged = qrels.qids()
     for qid in run:
-        if qid not in qrels.qids():
+        if qid not in judged:
             log.warning("run contains qid %s absent from qrels; excluded", qid)
-    for qid in sorted(qrels.qids()):
+    for qid in sorted(judged):
         relevant = qrels.relevant(qid)
         if not relevant:
             log.warning("qid %s has no relevant documents; excluded from averages", qid)

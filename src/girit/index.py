@@ -11,8 +11,10 @@ in a 64-bit BLAKE2b checksum of the preceding payload:
     postings.bin  per term: df x (varint id-gap, varint tf); the first gap is
                   the first internal id itself
 
-Internal ids are dense 0..N-1 in ingestion order. Building is single-writer;
-a built or loaded index is immutable and safe to share across threads.
+header.json is removed first and written last, so a directory whose write was
+interrupted does not load. Internal ids are dense 0..N-1 in ingestion order.
+Building is single-writer; a built or loaded index is immutable and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .analysis import AnalyzerConfig, analyze
 from .corpus import RawDocument
 from .errors import CorpusError, EmptyCollectionError, IndexStoreError
 from .util import (
+    CHECKSUM_BYTES,
     decode_varints,
     encode_varints,
     read_checksummed,
@@ -123,13 +126,12 @@ class DocTable:
 class Index:
     """Immutable term -> postings map plus the statistics scoring needs."""
 
-    def __init__(self, cfg: AnalyzerConfig, doc_table: DocTable, lexicon, mem_postings=None, postings_buf=None):
+    def __init__(self, cfg: AnalyzerConfig, doc_table: DocTable, lexicon, postings: bytes):
         self.cfg = cfg
         self.doc_table = doc_table
-        # lexicon: term -> (df, cf, offset, nbytes); offset/nbytes None for in-memory
+        # lexicon: term -> (df, cf, offset, nbytes) into the v1 postings payload
         self._lexicon = lexicon
-        self._mem = mem_postings or {}
-        self._buf = postings_buf
+        self._buf = postings
         self._cache: dict[str, PostingList] = {}
         total = int(self.doc_table.lengths.sum()) if len(doc_table) else 0
         self.stats = CollectionStats(
@@ -156,16 +158,13 @@ class Index:
 
     def lookup(self, term: str) -> PostingList | None:
         """Exact-match lookup on a normalized term; None when unseen."""
-        entry = self._lexicon.get(term)
-        if entry is None:
-            return None
-        mem = self._mem.get(term)
-        if mem is not None:
-            return PostingList(term, np.frombuffer(mem[0], dtype=np.int32), np.frombuffer(mem[1], dtype=np.int32))
         cached = self._cache.get(term)
         if cached is not None:
             return cached
-        df, _cf, offset, nbytes = entry
+        entry = self._lexicon.get(term)
+        if entry is None:
+            return None
+        df, _cf, offset, _nbytes = entry
         values, _ = decode_varints(self._buf, offset, 2 * df)
         arr = np.array(values, dtype=np.int64).reshape(df, 2)
         posting = PostingList(term, np.cumsum(arr[:, 0]), arr[:, 1].copy())
@@ -176,30 +175,12 @@ class Index:
 
     def persist(self, directory) -> None:
         """Write the versioned on-disk format; deterministic for equal content."""
-        os.makedirs(directory, exist_ok=True)
-        doc_payload = bytearray()
-        for docid, dl in zip(self.doc_table.docids, self.doc_table.lengths.tolist()):
-            raw = docid.encode("utf-8")
-            doc_payload += encode_varints((len(raw),))
-            doc_payload += raw
-            doc_payload += encode_varints((dl,))
-        write_checksummed(os.path.join(directory, DOCTABLE_FILE), bytes(doc_payload))
-
-        lex_payload = bytearray()
-        post_payload = bytearray()
-        for term in sorted(self._lexicon):
-            posting = self.lookup(term)
-            block = _encode_postings(posting.ids, posting.tfs)
-            raw = term.encode("utf-8")
-            lex_payload += encode_varints((len(raw),))
-            lex_payload += raw
-            lex_payload += encode_varints(
-                (posting.df, posting.cf, len(post_payload), len(block))
-            )
-            post_payload += block
-        write_checksummed(os.path.join(directory, LEXICON_FILE), bytes(lex_payload))
-        write_checksummed(os.path.join(directory, POSTINGS_FILE), bytes(post_payload))
-        _write_header(directory, self.cfg, self.stats)
+        buf = self._buf
+        blocks = (
+            (term, df, cf, buf[offset : offset + nbytes])
+            for term, (df, cf, offset, nbytes) in sorted(self._lexicon.items())
+        )
+        _write_index(directory, self.cfg, self.doc_table.docids, self.doc_table.lengths.tolist(), blocks)
 
     @classmethod
     def load(cls, directory) -> "Index":
@@ -236,7 +217,7 @@ class Index:
             raise IndexStoreError(f"{directory}: lexicon does not match header")
 
         postings_buf = read_checksummed(os.path.join(directory, POSTINGS_FILE))
-        index = cls(cfg, DocTable(docids, lengths), lexicon, postings_buf=postings_buf)
+        index = cls(cfg, DocTable(docids, lengths), lexicon, postings_buf)
         if index.stats.total_tokens != header["total_tokens"]:
             raise IndexStoreError(f"{directory}: token count does not match header")
         return index
@@ -250,7 +231,50 @@ def _encode_postings(ids, tfs) -> bytes:
     return encode_varints(flat.tolist())
 
 
-def _write_header(directory, cfg: AnalyzerConfig, stats: CollectionStats) -> None:
+def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, blocks) -> None:
+    """Write a format-v1 index directory; the one writer of the format.
+
+    `blocks` yields (term, df, cf, v1 postings block) in term order. Postings
+    stream to disk, so only the doctable and lexicon are held in memory.
+    """
+    os.makedirs(directory, exist_ok=True)
+    header_path = os.path.join(directory, HEADER_FILE)
+    if os.path.exists(header_path):
+        os.unlink(header_path)
+    doc_payload = bytearray()
+    for docid, dl in zip(docids, lengths):
+        raw = docid.encode("utf-8")
+        doc_payload += encode_varints((len(raw),))
+        doc_payload += raw
+        doc_payload += encode_varints((dl,))
+    write_checksummed(os.path.join(directory, DOCTABLE_FILE), bytes(doc_payload))
+
+    lex_payload = bytearray()
+    offset = 0
+    vocabulary = 0
+    post_path = os.path.join(directory, POSTINGS_FILE)
+    try:
+        with open(post_path + ".tmp", "wb") as fh:
+            hasher = hashlib.blake2b(digest_size=CHECKSUM_BYTES)
+            for term, df, cf, block in blocks:
+                raw = term.encode("utf-8")
+                lex_payload += encode_varints((len(raw),))
+                lex_payload += raw
+                lex_payload += encode_varints((df, cf, offset, len(block)))
+                fh.write(block)
+                hasher.update(block)
+                offset += len(block)
+                vocabulary += 1
+            fh.write(hasher.digest())
+        os.replace(post_path + ".tmp", post_path)
+    except BaseException:
+        try:
+            os.unlink(post_path + ".tmp")
+        except OSError:
+            pass
+        raise
+    write_checksummed(os.path.join(directory, LEXICON_FILE), bytes(lex_payload))
+
     header = {
         "magic": MAGIC,
         "version": FORMAT_VERSION,
@@ -261,12 +285,12 @@ def _write_header(directory, cfg: AnalyzerConfig, stats: CollectionStats) -> Non
             "stopwords": sorted(cfg.stopword_list),
         },
         "fingerprint": cfg.fingerprint(),
-        "num_documents": stats.num_docs,
-        "total_tokens": stats.total_tokens,
-        "vocabulary_size": stats.vocabulary_size,
+        "num_documents": len(docids),
+        "total_tokens": int(sum(lengths)),
+        "vocabulary_size": vocabulary,
     }
     payload = json.dumps(header, sort_keys=True, ensure_ascii=True).encode("utf-8")
-    write_checksummed(os.path.join(directory, HEADER_FILE), payload)
+    write_checksummed(header_path, payload)
 
 
 def _read_header(directory) -> dict:
@@ -297,6 +321,11 @@ def _config_from_header(header: dict) -> AnalyzerConfig:
     )
 
 
+def read_config(directory) -> AnalyzerConfig:
+    """The analyzer configuration of an index, from its header alone."""
+    return _config_from_header(_read_header(directory))
+
+
 class _Builder:
     """Accumulates postings in memory, spilling sorted runs under a byte budget."""
 
@@ -314,6 +343,12 @@ class _Builder:
         self.seen: set[str] = set()
         self.approx_bytes = 0
         self.run_paths: list[str] = []
+
+    def add_all(self, docs) -> None:
+        for doc in docs:
+            self.add(doc)
+        if not self.docids:
+            raise EmptyCollectionError("empty collection: average document length undefined")
 
     def add(self, doc: RawDocument) -> None:
         if doc.docid in self.seen:
@@ -342,6 +377,7 @@ class _Builder:
             return
         path = os.path.join(self.spill_dir, f"run{len(self.run_paths):05d}.tmp")
         log.info("spilling %d terms (~%d MB) to %s", len(self.postings), self.approx_bytes >> 20, path)
+        self.run_paths.append(path)
         with open(path, "wb") as fh:
             for term in sorted(self.postings):
                 ids, tfs = self.postings[term]
@@ -350,12 +386,11 @@ class _Builder:
                 fh.write(raw)
                 fh.write(ids.tobytes())
                 fh.write(tfs.tobytes())
-        self.run_paths.append(path)
         self.postings = {}
         self.approx_bytes = 0
 
-    def segments(self):
-        """Merged (term, ids_array, tfs_array) stream, sorted by term.
+    def blocks(self):
+        """Merged (term, df, cf, v1 postings block) stream, sorted by term.
 
         Spill runs were written in document order, so for any term the
         segment ids are strictly increasing across runs in merge order.
@@ -375,7 +410,7 @@ class _Builder:
                 for _, seg_ids, seg_tfs in pieces:
                     ids.extend(seg_ids)
                     tfs.extend(seg_tfs)
-            yield term, ids, tfs
+            yield term, len(ids), sum(tfs), _encode_postings(ids, tfs)
 
     def cleanup(self) -> None:
         for path in self.run_paths:
@@ -407,16 +442,13 @@ def _run_segments(path):
 def build_index(docs, cfg: AnalyzerConfig) -> Index:
     """In-memory index over `docs`; deterministic for a fixed input order."""
     builder = _Builder(cfg, budget_bytes=None, spill_dir=None)
-    for doc in docs:
-        builder.add(doc)
-    if not builder.docids:
-        raise EmptyCollectionError("empty collection: average document length undefined")
+    builder.add_all(docs)
     lexicon = {}
-    mem = {}
-    for term, ids, tfs in builder.segments():
-        lexicon[term] = (len(ids), int(sum(tfs)), None, None)
-        mem[term] = (ids.tobytes(), tfs.tobytes())
-    return Index(cfg, DocTable(builder.docids, builder.lengths), lexicon, mem_postings=mem)
+    payload = bytearray()
+    for term, df, cf, block in builder.blocks():
+        lexicon[term] = (df, cf, len(payload), len(block))
+        payload += block
+    return Index(cfg, DocTable(builder.docids, builder.lengths), lexicon, bytes(payload))
 
 
 def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: int = 512) -> Index:
@@ -429,48 +461,8 @@ def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: i
     spill_dir = tempfile.mkdtemp(prefix=".build.", dir=directory)
     builder = _Builder(cfg, budget_bytes=memory_budget_mb << 20, spill_dir=spill_dir)
     try:
-        for doc in docs:
-            builder.add(doc)
-        if not builder.docids:
-            raise EmptyCollectionError("empty collection: average document length undefined")
-
-        doc_payload = bytearray()
-        for docid, dl in zip(builder.docids, builder.lengths):
-            raw = docid.encode("utf-8")
-            doc_payload += encode_varints((len(raw),))
-            doc_payload += raw
-            doc_payload += encode_varints((dl,))
-        write_checksummed(os.path.join(directory, DOCTABLE_FILE), bytes(doc_payload))
-
-        lex_payload = bytearray()
-        offset = 0
-        post_path = os.path.join(directory, POSTINGS_FILE)
-        vocabulary = 0
-        with open(post_path + ".tmp", "wb") as fh:
-            hasher = hashlib.blake2b(digest_size=8)
-            for term, ids, tfs in builder.segments():
-                block = _encode_postings(
-                    np.frombuffer(ids, dtype=np.int32).astype(np.int64),
-                    np.frombuffer(tfs, dtype=np.int32).astype(np.int64),
-                )
-                raw = term.encode("utf-8")
-                lex_payload += encode_varints((len(raw),))
-                lex_payload += raw
-                lex_payload += encode_varints((len(ids), int(sum(tfs)), offset, len(block)))
-                fh.write(block)
-                hasher.update(block)
-                offset += len(block)
-                vocabulary += 1
-            fh.write(hasher.digest())
-        os.replace(post_path + ".tmp", post_path)
-        write_checksummed(os.path.join(directory, LEXICON_FILE), bytes(lex_payload))
-
-        stats = CollectionStats(
-            num_docs=len(builder.docids),
-            total_tokens=int(sum(builder.lengths)),
-            vocabulary_size=vocabulary,
-        )
-        _write_header(directory, cfg, stats)
+        builder.add_all(docs)
+        _write_index(directory, cfg, builder.docids, builder.lengths, builder.blocks())
     finally:
         builder.cleanup()
         try:

@@ -1,10 +1,12 @@
 import hashlib
 import random
+import shutil
 
 import pytest
 
 from girit.cli import main
 from girit.corpus import write_corpus
+from girit.index import Index, read_config
 from girit.models import MODEL_IDS
 from girit.retrieval import parse_topics, write_topics
 from girit.synth import synth_experiment
@@ -67,10 +69,21 @@ class TestIndexCommand:
             "<DOC><DOCNO>z1</DOCNO><TEXT>alpha</TEXT></DOC>", encoding="utf-8"
         )
         assert run_cli("index", "--corpus", corpus_dir, "--index-dir", tmp_path / "idx") == 0
-        from girit.index import Index
-
         loaded = Index.load(tmp_path / "idx")
         assert loaded.doc_table.docids == ["z1", "z2"]
+
+    def test_rebuild_uses_its_own_analyzer_flags(self, fixture_dir, tmp_path):
+        corpus = fixture_dir / "corpus.trec"
+        assert run_cli("index", "--corpus", corpus, "--index-dir", tmp_path / "idx") == 0
+        assert read_config(tmp_path / "idx").min_token_length == 1
+        assert (
+            run_cli("index", "--corpus", corpus, "--index-dir", tmp_path / "idx",
+                    "--min-token-length", 4, "--no-lowercase")
+            == 0
+        )
+        cfg = Index.load(tmp_path / "idx").cfg
+        assert cfg.min_token_length == 4
+        assert not cfg.lowercase_latin
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +303,55 @@ class TestExpandCommand:
         )
         stats_text = capsys.readouterr().out
         assert f"{topics[0].qid}: 6" in stats_text
+
+    def test_index_dir_borrows_analyzer_from_header_only(self, fixture_dir, tmp_path, monkeypatch):
+        assert (
+            run_cli("index", "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx",
+                    "--no-lowercase")
+            == 0
+        )
+        topics = tmp_path / "topics.txt"
+        topics.write_text("<top><num>1</num><title>Alpha beta</title></top>", encoding="utf-8")
+        thesaurus = tmp_path / "thesaurus.tsv"
+        thesaurus.write_text("alpha\tgamma\n", encoding="utf-8")
+
+        def no_load(directory):
+            raise AssertionError("expand loaded the whole index")
+
+        monkeypatch.setattr(Index, "load", no_load)
+        expand = ("expand", "--topics", topics, "--thesaurus", thesaurus, "--fields", "T")
+        assert run_cli(*expand, "--index-dir", tmp_path / "idx", "--output", tmp_path / "borrowed.txt") == 0
+        assert run_cli(*expand, "--no-lowercase", "--output", tmp_path / "flags.txt") == 0
+        assert run_cli(*expand, "--output", tmp_path / "default.txt") == 0
+        borrowed = (tmp_path / "borrowed.txt").read_text(encoding="utf-8")
+        assert borrowed == (tmp_path / "flags.txt").read_text(encoding="utf-8")
+        assert "gamma" not in borrowed
+        assert "gamma" in (tmp_path / "default.txt").read_text(encoding="utf-8")
+
+
+def test_inputs_under_a_directory_with_a_space(fixture_dir, tmp_path):
+    ws = tmp_path / "my dir"
+    ws.mkdir()
+    for name in ("corpus.trec", "topics.txt", "qrels.txt", "thesaurus.tsv"):
+        shutil.copy(fixture_dir / name, ws / name)
+    assert run_cli("index", "--corpus", ws / "corpus.trec", "--index-dir", ws / "idx") == 0
+    assert (
+        run_cli("expand", "--topics", ws / "topics.txt", "--thesaurus", ws / "thesaurus.tsv",
+                "--index-dir", ws / "idx", "--output", ws / "expanded.txt")
+        == 0
+    )
+    assert (
+        run_cli("run", "--index-dir", ws / "idx", "--topics", ws / "expanded.txt", "--models", "BM25",
+                "--cutoff", 20, "--output-dir", ws / "runs", "--tag", "t")
+        == 0
+    )
+    for runs in (ws / "runs", ws / "runs" / "t.BM25.run"):
+        assert (
+            run_cli("eval", "--runs", runs, "--qrels", ws / "qrels.txt", "--cutoff", 20,
+                    "--output-dir", ws / "eval")
+            == 0
+        )
+    assert (ws / "eval" / "BM25.eval").exists()
 
 
 class TestCompareCommand:

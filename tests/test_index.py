@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import girit.index
 from girit.analysis import AnalyzerConfig, analyze
 from girit.corpus import RawDocument
 from girit.errors import CorpusError, EmptyCollectionError, IndexStoreError
@@ -193,3 +194,26 @@ class TestPersistence:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(IndexStoreError, match="not an index directory"):
             Index.load(tmp_path / "nowhere")
+
+
+class TestCrashSafety:
+    def test_interrupted_rebuild_does_not_load(self, cfg, tmp_path, monkeypatch):
+        directory = tmp_path / "idx"
+        build_index_to_dir(synth_corpus(random.Random(1), 80), cfg, directory)
+        encode = girit.index._encode_postings
+        calls = []
+
+        def interrupted(ids, tfs):
+            calls.append(1)
+            if len(calls) > 10:
+                raise KeyboardInterrupt
+            return encode(ids, tfs)
+
+        monkeypatch.setattr(girit.index, "_encode_postings", interrupted)
+        # same document count, different content; zero budget leaves spill runs to clean up
+        with pytest.raises(KeyboardInterrupt):
+            build_index_to_dir(synth_corpus(random.Random(2), 80), cfg, directory, memory_budget_mb=0)
+        with pytest.raises(IndexStoreError, match="not an index directory"):
+            Index.load(directory)
+        assert not list(directory.rglob("*.tmp"))
+        assert {f.name for f in directory.iterdir()} == {DOCTABLE_FILE, LEXICON_FILE, POSTINGS_FILE}
