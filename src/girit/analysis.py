@@ -13,6 +13,8 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 
+from .util import read_text
+
 ZWNJ = "‌"
 ZWJ = "‍"
 _JOINERS = (ZWNJ, ZWJ)
@@ -107,29 +109,21 @@ def analyze(text: str, cfg: AnalyzerConfig) -> list[str]:
     return out
 
 
-def load_stopwords(lines, cfg: AnalyzerConfig | None = None) -> frozenset[str]:
-    """Read a stopword list: UTF-8, one term per line, '#' comments allowed.
+def load_stopwords(source, cfg: AnalyzerConfig | None = None) -> frozenset[str]:
+    """Read a stopword list from a named input (see `util.reading`): UTF-8, one
+    term per line, '#' comments allowed.
 
     Entries are normalized with `cfg` (sans stopwords) so that membership tests
     against analyzer output are exact.
     """
-    if isinstance(lines, (str, bytes)):
-        lines = lines.splitlines()
     base = cfg or AnalyzerConfig()
     norm_cfg = AnalyzerConfig(
         lowercase_latin=base.lowercase_latin,
         unicode_normalization=base.unicode_normalization,
     )
     terms = set()
-    for line in lines:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
+    for line in read_text(source).splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             terms.add(normalize(line, norm_cfg))
     return frozenset(terms)
-
-
-def load_stopwords_file(path, cfg: AnalyzerConfig | None = None) -> frozenset[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_stopwords(fh, cfg)

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import AnalyzerConfig, load_stopwords_file
+from .analysis import AnalyzerConfig, load_stopwords
 from .corpus import CorpusStats, parse_corpus
 from .errors import (
     AnalyzerMismatchError,
@@ -130,7 +130,7 @@ class Settings:
                 lowercase_latin=self.get("lowercase", True, bool),
                 unicode_normalization=self.get("unicode_form", "NFC"),
             )
-            stopwords = load_stopwords_file(stopword_path, base)
+            stopwords = load_stopwords(stopword_path, base)
         return AnalyzerConfig(
             lowercase_latin=self.get("lowercase", True, bool),
             unicode_normalization=self.get("unicode_form", "NFC"),
@@ -157,13 +157,11 @@ class Settings:
             return MODEL_IDS
         return tuple(check_model_id(name.strip()) for name in spec.split(",") if name.strip())
 
-    def expansion_policy(self, fields: str) -> ExpansionPolicy:
-        max_syn = self.get("max_synonyms_per_term", None, int)
+    def expansion_policy(self) -> ExpansionPolicy:
         return ExpansionPolicy(
             max_added_per_query=self.get("max_added_per_query", 6, int),
-            max_synonyms_per_term=max_syn,
+            max_synonyms_per_term=self.get("max_synonyms_per_term", None, int),
             expanded_term_weight=self.get("expanded_term_weight", 1.0, float),
-            fields_expanded=fields,
         )
 
 
@@ -267,7 +265,7 @@ def cmd_expand(settings: Settings) -> int:
     index_dir = settings.get("index_dir")
     cfg_analyzer = read_config(index_dir) if index_dir else settings.analyzer()
     thesaurus = load_thesaurus(settings.need_path("thesaurus"), cfg_analyzer)
-    policy = settings.expansion_policy(fields)
+    policy = settings.expansion_policy()
     output = settings.need("output")
     expanded_topics = []
     for topic in topics:

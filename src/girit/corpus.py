@@ -16,13 +16,13 @@ whose memory use is bounded by the largest single document, not the corpus.
 from __future__ import annotations
 
 import gzip
-import io
 import logging
 import re
 from dataclasses import dataclass
 
 from .analysis import AnalyzerConfig, analyze
 from .errors import CorpusError
+from .util import reading, writing
 
 log = logging.getLogger(__name__)
 
@@ -81,14 +81,8 @@ class _PrefixedReader:
         return self._stream.read(n)
 
 
-def _open_source(source):
-    """Return a binary reader for a path/bytes/file-like, transparently gunzipping."""
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
-        stream = open(source, "rb")
-    elif isinstance(source, bytes):
-        stream = io.BytesIO(source)
-    else:
-        stream = source
+def _gunzipped(stream):
+    """Binary reader over `stream`, transparently gunzipping."""
     head = stream.read(2)
     raw = _PrefixedReader(head, stream)
     if head == _GZIP_MAGIC:
@@ -134,14 +128,19 @@ _STRUCTURAL = ("DOC", "DOCNO", "TEXT")
 
 
 def parse_corpus(source, lenient: bool = False):
-    """Yield RawDocument records from a tagged corpus stream, in file order.
+    """Yield RawDocument records from a tagged corpus, in file order.
 
-    Structural problems (missing/duplicate/empty DOCNO, nested or unclosed
-    <DOC>, stray closers) raise CorpusError; with ``lenient=True`` the
-    offending document is skipped and logged instead. UTF-8 decode failures
-    always raise, carrying the byte offset of the bad input.
+    `source` is a named input (see `util.reading`); an open file must be
+    binary. Structural problems (missing/duplicate/empty DOCNO, nested or
+    unclosed <DOC>, stray closers) raise CorpusError; with ``lenient=True``
+    the offending document is skipped and logged instead. UTF-8 decode
+    failures always raise, carrying the byte offset of the bad input.
     """
-    decoder = _Utf8Stream(_open_source(source))
+    with reading(source) as stream:
+        yield from _documents(_Utf8Stream(_gunzipped(stream)), lenient)
+
+
+def _documents(decoder: _Utf8Stream, lenient: bool):
     buf = ""
     done = False
     state = _OUTSIDE
@@ -266,20 +265,14 @@ def serialize_document(doc: RawDocument) -> str:
 
 
 def write_corpus(docs, out) -> int:
-    """Write documents in tag format; returns the number written."""
-    close = False
-    if not hasattr(out, "write"):
-        out = open(out, "w", encoding="utf-8")
-        close = True
-    try:
-        n = 0
+    """Write documents in tag format to a path or an open text file (see
+    `util.writing`); returns the number written."""
+    n = 0
+    with writing(out) as fh:
         for doc in docs:
-            out.write(serialize_document(doc))
+            fh.write(serialize_document(doc))
             n += 1
-        return n
-    finally:
-        if close:
-            out.close()
+    return n
 
 
 def corpus_stats(docs, cfg: AnalyzerConfig) -> CorpusStats:

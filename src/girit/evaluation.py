@@ -15,6 +15,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import QrelsError, RunFileError
 from .retrieval import RankedList
+from .util import read_text, reading
 
 log = logging.getLogger(__name__)
 
@@ -69,65 +70,53 @@ class QrelSet:
 
 
 def parse_qrels(source) -> QrelSet:
-    """Parse whitespace-separated 'qid 0 docid grade' lines."""
-    text = _read_text(source)
+    """Parse whitespace-separated 'qid 0 docid grade' lines from a named input
+    (see `util.reading`)."""
     judgments: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise QrelsError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        qid, _iter, docid, grade_s = parts
-        try:
-            grade = int(grade_s)
-        except ValueError:
-            raise QrelsError(f"line {lineno}: bad relevance grade {grade_s!r}") from None
-        if grade < 0:
-            raise QrelsError(f"line {lineno}: negative relevance grade {grade}")
-        key = (qid, docid)
-        if key in judgments:
-            raise QrelsError(f"line {lineno}: duplicate judgment for {key}")
-        judgments[key] = grade
+    with reading(source) as fh:
+        for lineno, line in enumerate(read_text(fh).splitlines(), start=1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 4:
+                raise QrelsError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+            qid, _iter, docid, grade_s = parts
+            try:
+                grade = int(grade_s)
+            except ValueError:
+                raise QrelsError(f"line {lineno}: bad relevance grade {grade_s!r}") from None
+            if grade < 0:
+                raise QrelsError(f"line {lineno}: negative relevance grade {grade}")
+            key = (qid, docid)
+            if key in judgments:
+                raise QrelsError(f"line {lineno}: duplicate judgment for {key}")
+            judgments[key] = grade
     return QrelSet(judgments)
 
 
 def parse_run(source) -> dict[str, RankedList]:
-    """Parse a 6-column run file back into per-query ranked lists."""
-    text = _read_text(source)
+    """Parse a 6-column run file (a named input, see `util.reading`) back into
+    per-query ranked lists."""
     runs: dict[str, RankedList] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise RunFileError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-        qid, _q0, docid, rank_s, score_s, _tag = parts
-        try:
-            rank_ = int(rank_s)
-            score = float(score_s)
-        except ValueError:
-            raise RunFileError(f"line {lineno}: bad rank/score") from None
-        rl = runs.setdefault(qid, RankedList(qid=qid))
-        expected = len(rl.entries) + 1
-        if rank_ != expected:
-            raise RunFileError(f"line {lineno}: rank {rank_} out of order (expected {expected})")
-        rl.entries.append((docid, rank_, score))
+    with reading(source) as fh:
+        for lineno, line in enumerate(read_text(fh).splitlines(), start=1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 6:
+                raise RunFileError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+            qid, _q0, docid, rank_s, score_s, _tag = parts
+            try:
+                rank_ = int(rank_s)
+                score = float(score_s)
+            except ValueError:
+                raise RunFileError(f"line {lineno}: bad rank/score") from None
+            rl = runs.setdefault(qid, RankedList(qid=qid))
+            expected = len(rl.entries) + 1
+            if rank_ != expected:
+                raise RunFileError(f"line {lineno}: rank {rank_} out of order (expected {expected})")
+            rl.entries.append((docid, rank_, score))
     return runs
-
-
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        data = source.read()
-    elif hasattr(source, "__fspath__") or (
-        isinstance(source, str) and "\n" not in source and " " not in source
-    ):
-        # record lines always carry spaces, so a bare token is a path
-        with open(source, "rb") as fh:
-            data = fh.read()
-    else:
-        data = source
-    return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
 @dataclass(frozen=True)
@@ -352,11 +341,10 @@ def compare(before: dict[str, EvalSummary], after: dict[str, EvalSummary]) -> Co
 def read_eval_summary(path) -> EvalSummary:
     """Read the key:value eval file back into the fields compare() needs."""
     fields: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if ":" in line:
-                key, value = line.split(":", 1)
-                fields[key.strip()] = value.strip()
+    for line in read_text(path).splitlines():
+        if ":" in line:
+            key, value = line.split(":", 1)
+            fields[key.strip()] = value.strip()
     try:
         return EvalSummary(
             model=fields["model"],

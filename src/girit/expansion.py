@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from .analysis import AnalyzerConfig, analyze
 from .errors import ThesaurusError
 from .retrieval import QueryBag, Topic, build_query
+from .util import read_text, reading
+
 
 @dataclass(frozen=True)
 class Thesaurus:
@@ -36,7 +38,6 @@ class ExpansionPolicy:
     max_added_per_query: int = 6
     max_synonyms_per_term: int | None = None
     expanded_term_weight: float = 1.0
-    fields_expanded: str = "TD"  # metadata only
 
     def __post_init__(self):
         if self.max_added_per_query < 0:
@@ -45,41 +46,29 @@ class ExpansionPolicy:
             raise ValueError("expanded_term_weight must be > 0")
 
 
-def _analyze_cell(cell: str, cfg: AnalyzerConfig) -> list[str]:
-    return analyze(cell, cfg)
-
-
 def load_thesaurus(source, cfg: AnalyzerConfig) -> Thesaurus:
-    """Parse thesaurus TSV; duplicate headword lines merge in first-seen order,
-    self-synonyms and duplicates are dropped."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif hasattr(source, "__fspath__") or (isinstance(source, str) and "\t" not in source and "\n" not in source):
-        with open(source, "rb") as fh:
-            text = fh.read()
-    else:
-        text = source
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-
+    """Parse thesaurus TSV from a named input (see `util.reading`); duplicate
+    headword lines merge in first-seen order, self-synonyms and duplicates are
+    dropped."""
     entries: dict[str, list[str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if "\t" not in line:
-            raise ThesaurusError(f"line {lineno}: no TAB separator")
-        head_raw, rest = line.split("\t", 1)
-        head_terms = _analyze_cell(head_raw, cfg)
-        if not head_terms:
-            raise ThesaurusError(f"line {lineno}: empty headword")
-        if len(head_terms) != 1:
-            raise ThesaurusError(f"line {lineno}: headword must be a single term: {head_raw!r}")
-        head = head_terms[0]
-        bucket = entries.setdefault(head, [])
-        for cell in rest.split("|"):
-            for syn in _analyze_cell(cell, cfg):
-                if syn != head and syn not in bucket:
-                    bucket.append(syn)
+    with reading(source) as fh:
+        for lineno, line in enumerate(read_text(fh).splitlines(), start=1):
+            if not line.strip():
+                continue
+            if "\t" not in line:
+                raise ThesaurusError(f"line {lineno}: no TAB separator")
+            head_raw, rest = line.split("\t", 1)
+            head_terms = analyze(head_raw, cfg)
+            if not head_terms:
+                raise ThesaurusError(f"line {lineno}: empty headword")
+            if len(head_terms) != 1:
+                raise ThesaurusError(f"line {lineno}: headword must be a single term: {head_raw!r}")
+            head = head_terms[0]
+            bucket = entries.setdefault(head, [])
+            for cell in rest.split("|"):
+                for syn in analyze(cell, cfg):
+                    if syn != head and syn not in bucket:
+                        bucket.append(syn)
     return Thesaurus(entries={h: tuple(s) for h, s in entries.items()})
 
 
@@ -94,7 +83,7 @@ def expand_query(bag: QueryBag, thesaurus: Thesaurus, policy: ExpansionPolicy | 
     policy = policy or ExpansionPolicy()
     terms = dict(bag.terms)
     budget = policy.max_added_per_query
-    added_qtf = math.ceil(policy.expanded_term_weight * 1)
+    added_qtf = math.ceil(policy.expanded_term_weight)
     for term in sorted(bag.terms, key=lambda t: (-bag.terms[t], t)):
         if budget <= 0:
             break

@@ -27,6 +27,7 @@ from .models import (
     score_postings,
     score_term,
 )
+from .util import read_text, reading, writing
 
 log = logging.getLogger(__name__)
 
@@ -68,100 +69,85 @@ def check_fields(fields: str) -> str:
     return fields
 
 
-def _decode(source) -> str:
-    if hasattr(source, "read"):
-        data = source.read()
-    elif hasattr(source, "__fspath__"):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    elif isinstance(source, str) and "<" not in source and "\n" not in source:
-        # a string with no markup can only be a path
-        with open(source, "rb") as fh:
-            data = fh.read()
-    else:
-        data = source
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
-
-
 def parse_topics(source) -> list[Topic]:
-    """Parse <top> blocks into Topic records, in file order.
+    """Parse <top> blocks from a named input (see `util.reading`) into Topic
+    records, in file order.
 
     Missing <desc>/<narr> default to empty with a warning; a field left
     unclosed is ended by the next field opener or </top>. Missing or empty
     <num>/<title>, duplicate qids and an unclosed <top> are errors.
     """
-    text = _decode(source)
-    topics: list[Topic] = []
-    seen: set[str] = set()
-    in_top = False
-    current: str | None = None
-    fields: dict[str, list[str]] = {}
-    pos = 0
+    with reading(source) as fh:
+        text = read_text(fh)
+        topics: list[Topic] = []
+        seen: set[str] = set()
+        in_top = False
+        current: str | None = None
+        fields: dict[str, list[str]] = {}
+        pos = 0
+        top_at = 0  # offset of the open <top>
 
-    def flush(upto: int) -> None:
-        if in_top and current is not None:
-            fields.setdefault(current, []).append(text[pos:upto])
+        def error(message: str, at: int) -> TopicError:
+            line = text.count("\n", 0, at) + 1
+            return TopicError(f"line {line}: {message}")
 
-    def finalize() -> None:
-        qid = " ".join("".join(fields.get("num", [])).split())
-        title = "".join(fields.get("title", [])).strip()
-        desc = "".join(fields.get("desc", [])).strip()
-        narr = "".join(fields.get("narr", [])).strip()
-        if not qid:
-            raise TopicError("topic without <num>")
-        if qid in seen:
-            raise TopicError(f"duplicate qid {qid!r}")
-        if not title:
-            raise TopicError(f"topic {qid!r} without <title>")
-        if "desc" not in fields:
-            log.warning("topic %s has no <desc>; defaulting to empty", qid)
-        if "narr" not in fields:
-            log.warning("topic %s has no <narr>; defaulting to empty", qid)
-        seen.add(qid)
-        topics.append(Topic(qid=qid, title=title, description=desc, narrative=narr))
+        def flush(upto: int) -> None:
+            if in_top and current is not None:
+                fields.setdefault(current, []).append(text[pos:upto])
 
-    for match in _TOPIC_TAG_RE.finditer(text):
-        closing = bool(match.group(1))
-        name = match.group(2).lower()
-        if name == "top":
-            if not closing:
-                if in_top:
-                    raise TopicError("unclosed <top> (nested <top> found)")
-                in_top = True
-                current = None
-                fields = {}
-            else:
-                if not in_top:
-                    raise TopicError("stray </top>")
+        def finalize() -> None:
+            qid = " ".join("".join(fields.get("num", [])).split())
+            title = "".join(fields.get("title", [])).strip()
+            desc = "".join(fields.get("desc", [])).strip()
+            narr = "".join(fields.get("narr", [])).strip()
+            if not qid:
+                raise error("topic without <num>", top_at)
+            if qid in seen:
+                raise error(f"duplicate qid {qid!r}", top_at)
+            if not title:
+                raise error(f"topic {qid!r} without <title>", top_at)
+            if "desc" not in fields:
+                log.warning("topic %s has no <desc>; defaulting to empty", qid)
+            if "narr" not in fields:
+                log.warning("topic %s has no <narr>; defaulting to empty", qid)
+            seen.add(qid)
+            topics.append(Topic(qid=qid, title=title, description=desc, narrative=narr))
+
+        for match in _TOPIC_TAG_RE.finditer(text):
+            closing = bool(match.group(1))
+            name = match.group(2).lower()
+            if name == "top":
+                if not closing:
+                    if in_top:
+                        raise error("unclosed <top> (nested <top> found)", match.start())
+                    in_top = True
+                    top_at = match.start()
+                    current = None
+                    fields = {}
+                else:
+                    if not in_top:
+                        raise error("stray </top>", match.start())
+                    flush(match.start())
+                    finalize()
+                    in_top = False
+                    current = None
+            elif in_top:
                 flush(match.start())
-                finalize()
-                in_top = False
-                current = None
-        elif in_top:
-            flush(match.start())
-            current = None if closing else name
-        pos = match.end()
-    if in_top:
-        raise TopicError("unclosed <top> at end of input")
-    return topics
+                current = None if closing else name
+            pos = match.end()
+        if in_top:
+            raise error("unclosed <top> at end of input", top_at)
+        return topics
 
 
 def write_topics(topics, out) -> None:
-    close = False
-    if not hasattr(out, "write"):
-        out = open(out, "w", encoding="utf-8")
-        close = True
-    try:
+    """Write <top> blocks to a path or an open text file (see `util.writing`)."""
+    with writing(out) as fh:
         for t in topics:
-            out.write(
+            fh.write(
                 f"<top>\n<num>{t.qid}</num>\n<title>{t.title}</title>\n"
                 f"<desc>{t.description}</desc>\n<narr>{t.narrative}</narr>\n</top>\n"
             )
-    finally:
-        if close:
-            out.close()
 
 
 def build_query(topic: Topic, fields: str, cfg: AnalyzerConfig) -> QueryBag:
@@ -320,18 +306,12 @@ def format_run_line(qid: str, docid: str, rank_: int, score: float, tag: str) ->
 
 
 def write_run(ranked_lists, tag: str, out) -> int:
-    """Write standard 6-column run lines; returns the number of lines."""
-    close = False
-    if not hasattr(out, "write"):
-        out = open(out, "w", encoding="utf-8")
-        close = True
-    try:
-        n = 0
+    """Write standard 6-column run lines to a path or an open text file (see
+    `util.writing`); returns the number of lines."""
+    n = 0
+    with writing(out) as fh:
         for rl in ranked_lists:
             for docid, rank_, score in rl.entries:
-                out.write(format_run_line(rl.qid, docid, rank_, score, tag) + "\n")
+                fh.write(format_run_line(rl.qid, docid, rank_, score, tag) + "\n")
                 n += 1
-        return n
-    finally:
-        if close:
-            out.close()
+    return n

@@ -1,22 +1,60 @@
-"""Small shared helpers: varint codec, file checksums, atomic writes."""
+"""Small shared helpers: named inputs and outputs, varint codec, file
+checksums, atomic writes."""
 
 from __future__ import annotations
 
 import hashlib
 import os
 import tempfile
+from contextlib import contextmanager
+
+from .errors import FormatError, IndexStoreError
 
 CHECKSUM_BYTES = 8
 
+
+@contextmanager
+def reading(source):
+    """Open a named input. A str or os.PathLike is always a path: it is opened
+    binary here, closed on exit, and a FormatError raised inside the block
+    gets the path put before its message. Anything else is an open file and
+    is yielded as it is."""
+    if not isinstance(source, (str, os.PathLike)):
+        yield source
+        return
+    try:
+        with open(source, "rb") as fh:
+            yield fh
+    except FormatError as exc:
+        exc.args = (f"{os.fspath(source)}: {exc}",)
+        raise
+
+
+def read_text(source) -> str:
+    """Whole text of a named input (see `reading`); bytes are decoded as UTF-8."""
+    with reading(source) as fh:
+        data = fh.read()
+        if isinstance(data, str):
+            return data
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"UTF-8 decode failure: {exc.reason} | byte offset {exc.start}") from None
+
+
+@contextmanager
+def writing(out):
+    """Text output: a str or os.PathLike is a path, opened UTF-8 here and
+    closed on exit; anything else is an open text file, left open."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield out
+
+
 # single-byte fast path covers the vast majority of gaps and tfs
 _ONE_BYTE = [bytes([i]) for i in range(0x80)]
-
-
-def write_varint(value: int, out: bytearray) -> None:
-    while value >= 0x80:
-        out.append(0x80 | (value & 0x7F))
-        value >>= 7
-    out.append(value)
 
 
 def encode_varints(values) -> bytes:
@@ -80,8 +118,6 @@ def write_checksummed(path, payload: bytes) -> None:
 
 def read_checksummed(path) -> bytes:
     """Read a payload+checksum file, verifying the trailing 64-bit checksum."""
-    from .errors import IndexStoreError
-
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < CHECKSUM_BYTES:

@@ -5,6 +5,7 @@ lines as they complete.
 """
 
 import hashlib
+import io
 import math
 import random
 import time
@@ -205,8 +206,8 @@ def test_c4_expansion_recall_laws():
         cfg = AnalyzerConfig()
         exp = synth_experiment(random.Random(777), num_docs=180, num_topics=6)
         index = build_index(exp.docs, cfg)
-        thesaurus = load_thesaurus(exp.thesaurus_text, cfg)
-        qrels = parse_qrels(exp.qrels_text)
+        thesaurus = load_thesaurus(io.StringIO(exp.thesaurus_text), cfg)
+        qrels = parse_qrels(io.StringIO(exp.qrels_text))
         improved_somewhere = False
         for model in MODEL_IDS:
             for topic in exp.topics:
@@ -232,7 +233,7 @@ def test_c4_expansion_recall_laws():
         for i in range(35):
             docs.append(RawDocument(f"pad{i:02d}", f"{filler} extra{i % 7}"))
         adv_index = build_index(docs, cfg)
-        adv_thesaurus = load_thesaurus("storm\ttempest", cfg)
+        adv_thesaurus = load_thesaurus(io.StringIO("storm\ttempest"), cfg)
         bag = build_query(Topic(qid="adv", title="storm"), "T", cfg)
         expanded = expand_query(bag, adv_thesaurus)
         relevant = {f"rel{i:02d}" for i in range(10)}
@@ -248,7 +249,7 @@ def test_c4_expansion_recall_laws():
 def test_c5_metric_oracles():
     """AP/recall match a brute-force rank walk on 1000 random run/qrels pairs."""
     with _criterion("C5 metric oracles (1000 random pairs)"):
-        qrels = parse_qrels("q1 0 d1 1\nq1 0 d3 1\n")
+        qrels = parse_qrels(io.StringIO("q1 0 d1 1\nq1 0 d3 1\n"))
         run = {"q1": RankedList(qid="q1", entries=[("d1", 1, 3.0), ("dx", 2, 2.0), ("d3", 3, 1.0)])}
         ap = evaluate_run(run, qrels, cutoff=10).per_query["q1"].average_precision
         assert abs(ap - (1 + 2 / 3) / 2) <= 1e-9
@@ -260,7 +261,7 @@ def test_c5_metric_oracles():
             relevant = sorted(rng.sample(universe, rng.randint(1, max(1, len(universe) // 2))))
             retrieved = rng.sample(universe, rng.randint(0, len(universe)))
             cutoff = rng.randint(1, 55)
-            qrels = parse_qrels("\n".join(f"q 0 {d} 1" for d in relevant))
+            qrels = parse_qrels(io.StringIO("\n".join(f"q 0 {d} 1" for d in relevant)))
             entries = [(d, i + 1, float(100 - i)) for i, d in enumerate(retrieved)]
             result = evaluate_run({"q": RankedList(qid="q", entries=entries)}, qrels, cutoff=cutoff)
             hits = 0
@@ -286,17 +287,15 @@ def test_c6_format_round_trips(tmp_path):
             RawDocument("doc.3", "line one\nline two > one"),
         ]
         blob = "".join(serialize_document(d) for d in docs)
-        assert list(parse_corpus(blob.encode("utf-8"))) == docs
+        assert list(parse_corpus(io.BytesIO(blob.encode("utf-8")))) == docs
 
         # topic tags, including an unclosed <narr> recovered at </top>
         topics = [Topic("t1", "title one", "desc one", "narr one"), Topic("t2", "title two")]
-        import io
-
         buf = io.StringIO()
         write_topics(topics, buf)
-        assert parse_topics(buf.getvalue()) == topics
+        assert parse_topics(io.StringIO(buf.getvalue())) == topics
         recovered = parse_topics(
-            "<top><num>x</num><title>tt</title><desc>dd</desc><narr>open ended</top>"
+            io.StringIO("<top><num>x</num><title>tt</title><desc>dd</desc><narr>open ended</top>")
         )
         assert recovered[0].narrative == "open ended"
 
@@ -309,22 +308,22 @@ def test_c6_format_round_trips(tmp_path):
         write_run(lists, "girit", buf)
         first = buf.getvalue()
         assert "q1 Q0 d7 1 1.234567 girit" in first.splitlines()[0]
-        reparsed = parse_run(first)
+        reparsed = parse_run(io.StringIO(first))
         buf2 = io.StringIO()
         write_run([reparsed["q1"], reparsed["q2"]], "girit", buf2)
         assert buf2.getvalue() == first
 
         # qrels: parse -> re-emit is byte-stable
         qrels_text = "q1 0 d1 1\nq1 0 d2 0\nq2 0 d9 2\n"
-        qrels = parse_qrels(qrels_text)
+        qrels = parse_qrels(io.StringIO(qrels_text))
         emitted = "".join(f"{q} 0 {d} {g}\n" for (q, d), g in qrels.judgments.items())
         assert emitted == qrels_text
 
         # thesaurus TSV: load -> emit -> load preserves every entry
         th_text = "tv\ttelevision|telly\nfast\tquick\n"
-        th = load_thesaurus(th_text, cfg)
+        th = load_thesaurus(io.StringIO(th_text), cfg)
         emitted = "".join(f"{h}\t{'|'.join(s)}\n" for h, s in th.entries.items())
-        assert load_thesaurus(emitted, cfg).entries == th.entries
+        assert load_thesaurus(io.StringIO(emitted), cfg).entries == th.entries
 
         # index: persist/load value-exact, re-persist byte-exact, corruption detected
         corpus = synth_corpus(random.Random(4), 120)

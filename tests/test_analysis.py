@@ -1,3 +1,4 @@
+import io
 import unicodedata
 
 import pytest
@@ -155,15 +156,15 @@ class TestAnalyze:
 
 class TestStopwordLoading:
     def test_comments_and_blanks(self):
-        loaded = load_stopwords("# a comment\nthe\n\nand # trailing\n")
+        loaded = load_stopwords(io.StringIO("# a comment\nthe\n\nand # trailing\n"))
         assert loaded == frozenset({"the", "and"})
 
     def test_entries_normalized(self):
-        loaded = load_stopwords("The\nAND\n")
+        loaded = load_stopwords(io.StringIO("The\nAND\n"))
         assert loaded == frozenset({"the", "and"})
 
     def test_renormalizing_is_fixed_point(self, cfg):
-        loaded = load_stopwords("The\nÉtude\n")
+        loaded = load_stopwords(io.StringIO("The\nÉtude\n"))
         assert all(normalize(w, cfg) == w for w in loaded)
 
     def test_fingerprint_covers_stopwords(self):

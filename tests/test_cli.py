@@ -386,3 +386,55 @@ class TestVerifyCommand:
         assert run_cli("verify", "--instances", 3, "--seed", 5, "--models", "BM25,DPH,InL2") == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+
+@pytest.mark.parametrize("name", ["topics.txt", "qrels.txt", "thesaurus.tsv", "stopwords.txt"])
+def test_bad_utf8_input_is_a_data_error_naming_the_file(name, fixture_dir, workspace, tmp_path, capsys):
+    good = b"the\nand\n" if name == "stopwords.txt" else (fixture_dir / name).read_bytes()
+    bad = tmp_path / name
+    bad.write_bytes(good[:5] + b"\xff" + good[5:])
+    commands = {
+        "topics.txt": ("run", "--index-dir", workspace / "idx", "--topics", bad, "--models", "BM25",
+                       "--output-dir", tmp_path / "runs"),
+        "qrels.txt": ("eval", "--runs", workspace / "runs_before", "--qrels", bad,
+                      "--output-dir", tmp_path / "eval"),
+        "thesaurus.tsv": ("expand", "--topics", fixture_dir / "topics.txt", "--thesaurus", bad,
+                          "--output", tmp_path / "expanded.txt"),
+        "stopwords.txt": ("index", "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx",
+                          "--stopwords", bad),
+    }
+    assert run_cli(*commands[name]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: UTF-8 decode failure: invalid start byte | byte offset 5" in err
+
+
+class TestFormatErrorsNameTheFile:
+    def test_bad_run_file_in_a_directory(self, workspace, fixture_dir, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        shutil.copytree(workspace / "runs_before", runs)
+        bad = runs / "exp.zz.run"
+        bad.write_text("q1 Q0 d1 1 2.000000 t\nq1 Q0 d2 3 1.000000 t\n", encoding="utf-8")
+        code = run_cli("eval", "--runs", runs, "--qrels", fixture_dir / "qrels.txt",
+                       "--output-dir", tmp_path / "eval")
+        assert code == 2
+        assert f"error: {bad}: line 2: rank 3 out of order (expected 2)" in capsys.readouterr().err
+
+    def test_bad_topics_file(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "topics.txt"
+        bad.write_text("<top>\n<num>1</num>\n<title>a</title>\n</top>\n<top>\n<title>b</title>\n</top>\n",
+                       encoding="utf-8")
+        code = run_cli("run", "--index-dir", workspace / "idx", "--topics", bad, "--models", "BM25",
+                       "--output-dir", tmp_path / "runs")
+        assert code == 2
+        assert f"error: {bad}: line 5: topic without <num>" in capsys.readouterr().err
+
+    def test_bad_file_in_a_corpus_directory(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "a.trec").write_text("<DOC><DOCNO>z1</DOCNO><TEXT>alpha</TEXT></DOC>", encoding="utf-8")
+        payload = b"<DOC><DOCNO>z2</DOCNO><TEXT>be\xffta</TEXT></DOC>"
+        (corpus_dir / "b.trec").write_bytes(payload)
+        assert run_cli("index", "--corpus", corpus_dir, "--index-dir", tmp_path / "idx") == 2
+        offset = payload.index(b"\xff")
+        expected = f"error: {corpus_dir / 'b.trec'}: UTF-8 decode failure: invalid start byte | byte offset {offset}"
+        assert expected in capsys.readouterr().err

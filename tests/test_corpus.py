@@ -1,4 +1,5 @@
 import gzip
+import io
 import logging
 import re
 import tracemalloc
@@ -20,7 +21,7 @@ from girit.errors import CorpusError
 
 
 def parse_all(text, **kw):
-    return list(parse_corpus(text.encode("utf-8"), **kw))
+    return list(parse_corpus(io.BytesIO(text.encode("utf-8")), **kw))
 
 
 class TestParse:
@@ -119,14 +120,14 @@ class TestParseErrors:
     def test_utf8_failure_reports_byte_offset(self):
         payload = b"<DOC><DOCNO>d1</DOCNO><TEXT>ab\xffcd</TEXT></DOC>"
         with pytest.raises(CorpusError) as exc_info:
-            list(parse_corpus(payload))
+            list(parse_corpus(io.BytesIO(payload)))
         assert exc_info.value.offset == payload.index(b"\xff")
 
     def test_utf8_failure_offset_beyond_first_chunk(self, monkeypatch):
         monkeypatch.setattr(corpus_mod, "_CHUNK", 8)
         payload = b"<DOC><DOCNO>d1</DOCNO><TEXT>" + b"x" * 50 + b"\xff" + b"</TEXT></DOC>"
         with pytest.raises(CorpusError) as exc_info:
-            list(parse_corpus(payload))
+            list(parse_corpus(io.BytesIO(payload)))
         assert exc_info.value.offset == payload.index(b"\xff")
 
 

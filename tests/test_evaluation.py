@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -25,25 +26,25 @@ def make_run(qid, docids):
 
 class TestParseQrels:
     def test_single_relevant_judgment(self):
-        qrels = parse_qrels("q1 0 d1 1\n")
+        qrels = parse_qrels(io.StringIO("q1 0 d1 1\n"))
         assert qrels.relevant("q1") == {"d1"}
 
     def test_grade_zero_is_judged_nonrelevant(self):
-        qrels = parse_qrels("q1 0 d1 0\n")
+        qrels = parse_qrels(io.StringIO("q1 0 d1 0\n"))
         assert qrels.relevant("q1") == set()
         assert "q1" in qrels.qids()
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(QrelsError, match="line 2"):
-            parse_qrels("q1 0 d1 1\nq2 0 d2\n")
+            parse_qrels(io.StringIO("q1 0 d1 1\nq2 0 d2\n"))
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(QrelsError, match="duplicate judgment"):
-            parse_qrels("q1 0 d1 1\nq1 0 d1 0\n")
+            parse_qrels(io.StringIO("q1 0 d1 1\nq1 0 d1 0\n"))
 
     def test_negative_grade_rejected(self):
         with pytest.raises(QrelsError, match="negative"):
-            parse_qrels("q1 0 d1 -2\n")
+            parse_qrels(io.StringIO("q1 0 d1 -2\n"))
 
     def test_collection_scale_totals(self):
         # 50 queries holding 1659 relevant pairs in total
@@ -52,14 +53,14 @@ class TestParseQrels:
         lines = []
         for q, n in enumerate(counts):
             lines.extend(f"q{q:02d} 0 doc{q:02d}x{i:03d} 1" for i in range(n))
-        qrels = parse_qrels("\n".join(lines))
+        qrels = parse_qrels(io.StringIO("\n".join(lines)))
         assert len(qrels.qids()) == 50
         assert qrels.total_relevant() == 1659
 
 
 class TestRecall:
     def qrels(self):
-        return parse_qrels("q1 0 d1 1\nq1 0 d2 1\nq1 0 d3 1\nq1 0 d9 0\n")
+        return parse_qrels(io.StringIO("q1 0 d1 1\nq1 0 d2 1\nq1 0 d3 1\nq1 0 d9 0\n"))
 
     def test_nothing_retrieved(self):
         result = evaluate_run({}, self.qrels(), cutoff=10)
@@ -90,12 +91,12 @@ class TestRecall:
         assert any("absent from qrels" in r.message for r in caplog.records)
 
     def test_qid_with_no_relevant_documents_excluded(self):
-        qrels = parse_qrels("q1 0 d1 1\nq2 0 d2 0\n")
+        qrels = parse_qrels(io.StringIO("q1 0 d1 1\nq2 0 d2 0\n"))
         result = evaluate_run({}, qrels, cutoff=10)
         assert set(result.per_query) == {"q1"}
 
     def test_micro_recall_sums_counts(self):
-        qrels = parse_qrels("q1 0 d1 1\nq1 0 d2 1\nq2 0 d3 1\n")
+        qrels = parse_qrels(io.StringIO("q1 0 d1 1\nq1 0 d2 1\nq2 0 d3 1\n"))
         run = {"q1": make_run("q1", ["d1"]), "q2": make_run("q2", ["d3"])}
         result = evaluate_run(run, qrels, cutoff=10)
         assert result.total_relevant == 3
@@ -105,19 +106,19 @@ class TestRecall:
 
 class TestAveragePrecision:
     def test_hand_enumerated_fixture(self):
-        qrels = parse_qrels("q1 0 d1 1\nq1 0 d3 1\n")
+        qrels = parse_qrels(io.StringIO("q1 0 d1 1\nq1 0 d3 1\n"))
         run = {"q1": make_run("q1", ["d1", "dx", "d3"])}
         result = evaluate_run(run, qrels, cutoff=10)
         assert result.per_query["q1"].average_precision == pytest.approx((1 + 2 / 3) / 2, abs=1e-9)
 
     def test_no_relevant_retrieved(self):
-        qrels = parse_qrels("q1 0 d1 1\n")
+        qrels = parse_qrels(io.StringIO("q1 0 d1 1\n"))
         run = {"q1": make_run("q1", ["dx", "dy"])}
         result = evaluate_run(run, qrels, cutoff=10)
         assert result.per_query["q1"].average_precision == 0.0
 
     def test_perfect_run(self):
-        qrels = parse_qrels("q1 0 d1 1\nq1 0 d2 1\nq1 0 d3 1\n")
+        qrels = parse_qrels(io.StringIO("q1 0 d1 1\nq1 0 d2 1\nq1 0 d3 1\n"))
         run = {"q1": make_run("q1", ["d1", "d2", "d3"])}
         result = evaluate_run(run, qrels, cutoff=10)
         assert result.per_query["q1"].average_precision == 1.0
@@ -139,7 +140,7 @@ class TestAveragePrecision:
             relevant = set(rng.sample(universe, rng.randint(1, len(universe) // 2 + 1)))
             retrieved = rng.sample(universe, rng.randint(0, len(universe)))
             cutoff = rng.randint(1, 60)
-            qrels = parse_qrels("\n".join(f"q1 0 {d} 1" for d in sorted(relevant)))
+            qrels = parse_qrels(io.StringIO("\n".join(f"q1 0 {d} 1" for d in sorted(relevant))))
             run = {"q1": make_run("q1", retrieved)}
             result = evaluate_run(run, qrels, cutoff=cutoff)
             expected_recall, expected_ap = self.brute_force(retrieved, relevant, cutoff)
@@ -148,26 +149,26 @@ class TestAveragePrecision:
             assert q.average_precision == pytest.approx(expected_ap, abs=1e-12)
 
     def test_metrics_invariant_under_monotone_score_transform(self):
-        qrels = parse_qrels("q1 0 d1 1\nq1 0 d5 1\n")
+        qrels = parse_qrels(io.StringIO("q1 0 d1 1\nq1 0 d5 1\n"))
         base = "q1 Q0 d1 1 3.000000 t\nq1 Q0 d4 2 2.000000 t\nq1 Q0 d5 3 1.000000 t\n"
         shifted = "q1 Q0 d1 1 7.500000 t\nq1 Q0 d4 2 5.400000 t\nq1 Q0 d5 3 2.100000 t\n"
-        r1 = evaluate_run(parse_run(base), qrels, cutoff=10)
-        r2 = evaluate_run(parse_run(shifted), qrels, cutoff=10)
+        r1 = evaluate_run(parse_run(io.StringIO(base)), qrels, cutoff=10)
+        r2 = evaluate_run(parse_run(io.StringIO(shifted)), qrels, cutoff=10)
         assert r1.per_query == r2.per_query
 
 
 class TestRunParser:
     def test_six_columns_required(self):
         with pytest.raises(RunFileError, match="expected 6 fields"):
-            parse_run("q1 Q0 d1 1 1.0\n")
+            parse_run(io.StringIO("q1 Q0 d1 1 1.0\n"))
 
     def test_rank_order_enforced(self):
         with pytest.raises(RunFileError, match="out of order"):
-            parse_run("q1 Q0 d1 2 1.000000 t\n")
+            parse_run(io.StringIO("q1 Q0 d1 2 1.000000 t\n"))
 
     def test_bad_score_rejected(self):
         with pytest.raises(RunFileError, match="bad rank/score"):
-            parse_run("q1 Q0 d1 1 xyz t\n")
+            parse_run(io.StringIO("q1 Q0 d1 1 xyz t\n"))
 
 
 class TestPercentageFormatter:

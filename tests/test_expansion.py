@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -20,39 +21,39 @@ from girit.synth import synth_experiment
 
 class TestLoadThesaurus:
     def test_single_entry(self, cfg):
-        th = load_thesaurus("tv\ttelevision", cfg)
+        th = load_thesaurus(io.StringIO("tv\ttelevision"), cfg)
         assert th.entries == {"tv": ("television",)}
 
     def test_multiple_synonyms_pipe_separated(self, cfg):
-        th = load_thesaurus("fast\tquick|rapid|speedy", cfg)
+        th = load_thesaurus(io.StringIO("fast\tquick|rapid|speedy"), cfg)
         assert th.synonyms("fast") == ("quick", "rapid", "speedy")
 
     def test_duplicate_headwords_merge_in_first_seen_order(self, cfg):
-        th = load_thesaurus("a\tb\na\tc\n", cfg)
+        th = load_thesaurus(io.StringIO("a\tb\na\tc\n"), cfg)
         assert th.entries == {"a": ("b", "c")}
 
     def test_self_synonym_dropped(self, cfg):
-        th = load_thesaurus("a\ta|b", cfg)
+        th = load_thesaurus(io.StringIO("a\ta|b"), cfg)
         assert th.entries == {"a": ("b",)}
 
     def test_duplicate_synonym_dropped(self, cfg):
-        th = load_thesaurus("a\tb|b|c", cfg)
+        th = load_thesaurus(io.StringIO("a\tb|b|c"), cfg)
         assert th.entries == {"a": ("b", "c")}
 
     def test_entries_normalized(self, cfg):
-        th = load_thesaurus("TV\tTelevision", cfg)
+        th = load_thesaurus(io.StringIO("TV\tTelevision"), cfg)
         assert th.entries == {"tv": ("television",)}
 
     def test_missing_tab_rejected(self, cfg):
         with pytest.raises(ThesaurusError, match="line 2: no TAB"):
-            load_thesaurus("a\tb\nbroken line\n", cfg)
+            load_thesaurus(io.StringIO("a\tb\nbroken line\n"), cfg)
 
     def test_empty_headword_rejected(self, cfg):
         with pytest.raises(ThesaurusError, match="empty headword"):
-            load_thesaurus("\tb", cfg)
+            load_thesaurus(io.StringIO("\tb"), cfg)
 
     def test_blank_lines_skipped(self, cfg):
-        th = load_thesaurus("\na\tb\n\n", cfg)
+        th = load_thesaurus(io.StringIO("\na\tb\n\n"), cfg)
         assert len(th) == 1
 
     def test_file_source(self, cfg, tmp_path):
@@ -174,7 +175,7 @@ class TestSupersetRetrieval:
         rng = random.Random(99)
         exp = synth_experiment(rng, num_docs=120, num_topics=4)
         index = build_index(exp.docs, cfg)
-        thesaurus = load_thesaurus(exp.thesaurus_text, cfg)
+        thesaurus = load_thesaurus(io.StringIO(exp.thesaurus_text), cfg)
         for topic in exp.topics:
             bag = build_query(topic, "TD", cfg)
             expanded = expand_query(bag, thesaurus)
@@ -188,7 +189,7 @@ class TestExpandTopic:
     def test_rebuilt_bag_equals_expanded_bag(self, cfg):
         rng = random.Random(5)
         exp = synth_experiment(rng, num_docs=108, num_topics=6)
-        thesaurus = load_thesaurus(exp.thesaurus_text, cfg)
+        thesaurus = load_thesaurus(io.StringIO(exp.thesaurus_text), cfg)
         for fields in ("T", "TD", "TDN"):
             for topic in exp.topics:
                 bag = build_query(topic, fields, cfg)
@@ -224,7 +225,7 @@ class TestExpansionStats:
     def test_matches_direct_recount(self, cfg):
         rng = random.Random(31)
         exp = synth_experiment(rng, num_docs=108, num_topics=6)
-        thesaurus = load_thesaurus(exp.thesaurus_text, cfg)
+        thesaurus = load_thesaurus(io.StringIO(exp.thesaurus_text), cfg)
         expanded_topics = []
         expected = {}
         for topic in exp.topics:

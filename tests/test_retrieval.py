@@ -37,7 +37,7 @@ WELL_FORMED = """
 
 class TestParseTopics:
     def test_well_formed_topic(self):
-        topics = parse_topics(WELL_FORMED)
+        topics = parse_topics(io.StringIO(WELL_FORMED))
         assert topics == [
             Topic(
                 qid="26",
@@ -49,24 +49,24 @@ class TestParseTopics:
 
     def test_missing_narrative_defaults_empty(self, caplog):
         with caplog.at_level(logging.WARNING, logger="girit.retrieval"):
-            topics = parse_topics("<top><num>1</num><title>t</title><desc>d</desc></top>")
+            topics = parse_topics(io.StringIO("<top><num>1</num><title>t</title><desc>d</desc></top>"))
         assert topics[0].narrative == ""
         assert any("no <narr>" in r.message for r in caplog.records)
 
     def test_unclosed_narr_recovered_at_top_close(self):
         topics = parse_topics(
-            "<top><num>1</num><title>t</title><desc>d</desc><narr>left open here</top>"
+            io.StringIO("<top><num>1</num><title>t</title><desc>d</desc><narr>left open here</top>")
         )
         assert topics[0].narrative == "left open here"
 
     def test_duplicated_narr_opener(self):
         topics = parse_topics(
-            "<top><num>1</num><title>t</title><desc>d</desc><narr> a <narr> b </top>"
+            io.StringIO("<top><num>1</num><title>t</title><desc>d</desc><narr> a <narr> b </top>")
         )
         assert topics[0].narrative == "a  b"
 
     def test_tags_case_insensitive(self):
-        topics = parse_topics("<TOP><NUM>1</NUM><TITLE>t</TITLE></TOP>")
+        topics = parse_topics(io.StringIO("<TOP><NUM>1</NUM><TITLE>t</TITLE></TOP>"))
         assert topics[0].qid == "1"
 
     def test_fifty_generated_topics_round_trip(self):
@@ -76,26 +76,26 @@ class TestParseTopics:
         ]
         buf = io.StringIO()
         write_topics(original, buf)
-        parsed = parse_topics(buf.getvalue())
+        parsed = parse_topics(io.StringIO(buf.getvalue()))
         assert parsed == original
         assert [t.qid for t in parsed] == [t.qid for t in original]
 
     def test_missing_num_rejected(self):
         with pytest.raises(TopicError, match="without <num>"):
-            parse_topics("<top><title>t</title></top>")
+            parse_topics(io.StringIO("<top><title>t</title></top>"))
 
     def test_missing_title_rejected(self):
         with pytest.raises(TopicError, match="without <title>"):
-            parse_topics("<top><num>1</num><desc>d</desc></top>")
+            parse_topics(io.StringIO("<top><num>1</num><desc>d</desc></top>"))
 
     def test_duplicate_qid_rejected(self):
         block = "<top><num>1</num><title>t</title></top>"
         with pytest.raises(TopicError, match="duplicate qid"):
-            parse_topics(block + block)
+            parse_topics(io.StringIO(block + block))
 
     def test_unclosed_top_rejected(self):
         with pytest.raises(TopicError, match="unclosed <top>"):
-            parse_topics("<top><num>1</num><title>t</title>")
+            parse_topics(io.StringIO("<top><num>1</num><title>t</title>"))
 
 
 class TestBuildQuery:
@@ -301,7 +301,7 @@ class TestRunFiles:
         ]
         buf = io.StringIO()
         write_run(lists, "tag", buf)
-        parsed = parse_run(buf.getvalue())
+        parsed = parse_run(io.StringIO(buf.getvalue()))
         assert set(parsed) == {"q0", "q1", "q2"}
         for rl in lists:
             got = parsed[rl.qid]
