@@ -43,7 +43,7 @@ from .expansion import (
 from .index import Index, build_index, build_index_to_dir, read_config
 from .models import MODEL_IDS, ModelParams, check_model_id
 from .retrieval import build_query, oracle_rank, parse_topics, rank, write_run, write_topics
-from .util import atomic_write_text
+from .util import atomic_write_text, read_text
 
 log = logging.getLogger(__name__)
 
@@ -63,19 +63,22 @@ _FALSE = {"0", "false", "no", "off"}
 def parse_config_file(path) -> dict[str, str]:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = read_text(path)
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 

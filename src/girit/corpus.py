@@ -18,6 +18,7 @@ from __future__ import annotations
 import gzip
 import logging
 import re
+import zlib
 from dataclasses import dataclass
 
 from .analysis import AnalyzerConfig, analyze
@@ -81,12 +82,25 @@ class _PrefixedReader:
         return self._stream.read(n)
 
 
+class _GzipReader:
+    """Gunzipping reader whose corrupt or truncated input is a CorpusError."""
+
+    def __init__(self, raw):
+        self._gz = gzip.GzipFile(fileobj=raw)
+
+    def read(self, n=-1):
+        try:
+            return self._gz.read(n)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise CorpusError(f"corrupt or truncated gzip data: {exc}") from None
+
+
 def _gunzipped(stream):
     """Binary reader over `stream`, transparently gunzipping."""
     head = stream.read(2)
     raw = _PrefixedReader(head, stream)
     if head == _GZIP_MAGIC:
-        return gzip.GzipFile(fileobj=raw)
+        return _GzipReader(raw)
     return raw
 
 

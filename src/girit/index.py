@@ -29,6 +29,7 @@ import tempfile
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,15 +113,31 @@ class DocTable:
     def __init__(self, docids: list[str], lengths):
         self.docids = docids
         self.lengths = np.asarray(lengths, dtype=np.int64)
-        self._by_docid: dict[str, int] | None = None
 
     def __len__(self):
         return len(self.docids)
 
     def internal_id(self, docid: str) -> int:
-        if self._by_docid is None:
-            self._by_docid = {d: i for i, d in enumerate(self.docids)}
         return self._by_docid[docid]
+
+    # built on first use, so loading an index does not pay for them
+
+    @cached_property
+    def _by_docid(self) -> dict[str, int]:
+        return {d: i for i, d in enumerate(self.docids)}
+
+    @cached_property
+    def docid_rank(self) -> np.ndarray:
+        """Each internal id's position in code-point docid order."""
+        order = sorted(range(len(self.docids)), key=self.docids.__getitem__)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return rank
+
+    @cached_property
+    def docid_array(self) -> np.ndarray:
+        """The docids as a numpy object array, for fancy indexing."""
+        return np.array(self.docids, dtype=object)
 
 
 class Index:
@@ -132,7 +149,6 @@ class Index:
         # lexicon: term -> (df, cf, offset, nbytes) into the v1 postings payload
         self._lexicon = lexicon
         self._buf = postings
-        self._cache: dict[str, PostingList] = {}
         total = int(self.doc_table.lengths.sum()) if len(doc_table) else 0
         self.stats = CollectionStats(
             num_docs=len(doc_table),
@@ -157,19 +173,16 @@ class Index:
         return entry[0], entry[1]
 
     def lookup(self, term: str) -> PostingList | None:
-        """Exact-match lookup on a normalized term; None when unseen."""
-        cached = self._cache.get(term)
-        if cached is not None:
-            return cached
+        """Exact-match lookup on a normalized term; None when unseen.
+
+        Decodes the term's postings block on every call; nothing is cached.
+        """
         entry = self._lexicon.get(term)
         if entry is None:
             return None
-        df, _cf, offset, _nbytes = entry
-        values, _ = decode_varints(self._buf, offset, 2 * df)
-        arr = np.array(values, dtype=np.int64).reshape(df, 2)
-        posting = PostingList(term, np.cumsum(arr[:, 0]), arr[:, 1].copy())
-        self._cache[term] = posting
-        return posting
+        df, _cf, offset, nbytes = entry
+        pairs = decode_varints(self._buf, offset, 2 * df, nbytes).reshape(df, 2)
+        return PostingList(term, np.cumsum(pairs[:, 0]), pairs[:, 1])
 
     # -- persistence --------------------------------------------------------
 

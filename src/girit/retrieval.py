@@ -11,6 +11,7 @@ by the next field opener or by </top> (this recovers the classic unclosed
 from __future__ import annotations
 
 import logging
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -178,32 +179,16 @@ def rank(index, bag: QueryBag, model: str, params: ModelParams | None = None, k:
             f"index has {index.fingerprint}"
         )
     num_docs = index.stats.num_docs
-    avgdl = index.stats.avgdl
-    total_tokens = index.stats.total_tokens
-    lengths = index.doc_table.lengths
     acc = np.zeros(num_docs, dtype=np.float64)
     matched = np.zeros(num_docs, dtype=bool)
     for term in sorted(bag.terms):
         posting = index.lookup(term)
         if posting is None:
             continue
-        dls = lengths[posting.ids]
         try:
-            scores = score_postings(
-                model,
-                posting.tfs,
-                dls,
-                qtf=bag.terms[term],
-                df=posting.df,
-                cf=posting.cf,
-                avgdl=avgdl,
-                num_docs=num_docs,
-                total_tokens=total_tokens,
-                params=params,
-                term=term,
-            )
+            scores = _term_scores(index, bag, posting, model, params)
         except ScoringDomainError:
-            _raise_with_doc_context(index, bag, term, model, params)
+            _raise_with_doc_context(index, bag, posting, model, params)
             raise
         acc[posting.ids] += scores
         matched[posting.ids] = True
@@ -212,6 +197,9 @@ def rank(index, bag: QueryBag, model: str, params: ModelParams | None = None, k:
     if cand.size == 0:
         return RankedList(qid=bag.qid)
     scores = acc[cand]
+    finite = np.isfinite(scores)
+    if not finite.all():
+        _raise_non_finite(index, bag, model, params, int(cand[np.argmin(finite)]))
     if k is not None and cand.size > k:
         # keep everything tying with the k-th score so the final sort can
         # break boundary ties by docid
@@ -219,19 +207,33 @@ def rank(index, bag: QueryBag, model: str, params: ModelParams | None = None, k:
         keep = scores >= thresh
         cand = cand[keep]
         scores = scores[keep]
-    docids = index.doc_table.docids
-    order = sorted(zip(scores.tolist(), (docids[i] for i in cand.tolist())), key=lambda t: (-t[0], t[1]))
-    if k is not None:
-        order = order[:k]
-    return RankedList(
-        qid=bag.qid,
-        entries=[(docid, r, score) for r, (score, docid) in enumerate(order, start=1)],
+    table = index.doc_table
+    order = np.lexsort((table.docid_rank[cand], -scores))[:k]
+    docids = table.docid_array[cand[order]].tolist()
+    return RankedList(qid=bag.qid, entries=list(zip(docids, range(1, order.size + 1), scores[order].tolist())))
+
+
+def _term_scores(index, bag: QueryBag, posting, model: str, params: ModelParams) -> np.ndarray:
+    """One query term's score for every document in its posting list."""
+    stats = index.stats
+    return score_postings(
+        model,
+        posting.tfs,
+        index.doc_table.lengths[posting.ids],
+        qtf=bag.terms[posting.term],
+        df=posting.df,
+        cf=posting.cf,
+        avgdl=stats.avgdl,
+        num_docs=stats.num_docs,
+        total_tokens=stats.total_tokens,
+        params=params,
+        term=posting.term,
     )
 
 
-def _raise_with_doc_context(index, bag: QueryBag, term: str, model: str, params: ModelParams):
+def _raise_with_doc_context(index, bag: QueryBag, posting, model: str, params: ModelParams):
     """Replay a failed posting list with the scalar scorer to name the document."""
-    posting = index.lookup(term)
+    term = posting.term
     stats = index.stats
     for iid, tf in zip(posting.ids.tolist(), posting.tfs.tolist()):
         ev = TermEvidence(
@@ -250,6 +252,25 @@ def _raise_with_doc_context(index, bag: QueryBag, term: str, model: str, params:
             raise ScoringDomainError(
                 exc.model, term, exc.detail, qid=bag.qid, docid=index.doc_table.docids[iid]
             ) from None
+
+
+def _raise_non_finite(index, bag: QueryBag, model: str, params: ModelParams, iid: int):
+    """Replay the query's posting lists for one document whose accumulated
+    score is not finite, to name the term at which it stopped being finite."""
+    total = 0.0
+    for term in sorted(bag.terms):
+        posting = index.lookup(term)
+        if posting is None:
+            continue
+        at = int(np.searchsorted(posting.ids, iid))
+        if at == posting.df or posting.ids[at] != iid:
+            continue
+        total += float(_term_scores(index, bag, posting, model, params)[at])
+        if not math.isfinite(total):
+            break
+    raise ScoringDomainError(
+        model, term, f"non-finite score {total!r}", qid=bag.qid, docid=index.doc_table.docids[iid]
+    )
 
 
 def oracle_rank(docs, bag: QueryBag, model: str, cfg: AnalyzerConfig, params: ModelParams | None = None, k: int | None = 1000) -> RankedList:

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import FormatError, IndexStoreError
 
@@ -85,27 +86,43 @@ def read_varint(data, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def decode_varints(data, pos: int, count: int) -> tuple[list[int], int]:
-    out = []
-    append = out.append
-    result = 0
-    shift = 0
-    while count:
-        b = data[pos]
-        pos += 1
-        if b < 0x80 and shift == 0:
-            append(b)
-            count -= 1
-            continue
-        result |= (b & 0x7F) << shift
-        if b < 0x80:
-            append(result)
-            result = 0
-            shift = 0
-            count -= 1
-        else:
-            shift += 7
-    return out, pos
+# 9 groups of 7 bits hold any int64 value up to 2**63 - 1
+_MAX_VARINT_BYTES = 9
+
+
+def decode_varints(data, offset: int, count: int, nbytes: int) -> np.ndarray:
+    """Decode the `nbytes`-byte block at `offset` of `data`, which must hold
+    exactly `count` varints and end on a terminator byte, into int64 values.
+
+    Terminators are the bytes below 0x80; each value is its 7-bit groups
+    shifted into place and OR-ed together. A block that breaks the contract
+    raises IndexStoreError naming the byte offset.
+    """
+    if offset + nbytes > len(data):
+        raise _block_error(offset, f"{nbytes} bytes overrun the {len(data)}-byte buffer")
+    block = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=offset)
+    ends = np.flatnonzero(block < 0x80)
+    if nbytes and block[-1] >= 0x80:
+        last = offset + (int(ends[-1]) + 1 if ends.size else 0)
+        raise _block_error(offset, f"varint at byte offset {last} has no terminator")
+    if ends.size != count:
+        raise _block_error(offset, f"holds {ends.size} varints, expected {count}")
+    if count == nbytes:
+        return block.astype(np.int64)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    widths = ends - starts + 1
+    if widths.max() > _MAX_VARINT_BYTES:
+        at = offset + int(starts[np.argmax(widths)])
+        raise IndexStoreError(f"varint at byte offset {at} is longer than {_MAX_VARINT_BYTES} bytes")
+    shifts = 7 * (np.arange(nbytes) - np.repeat(starts, widths))
+    groups = (block & 0x7F).astype(np.int64) << shifts
+    return np.bitwise_or.reduceat(groups, starts)
+
+
+def _block_error(offset: int, detail: str) -> IndexStoreError:
+    return IndexStoreError(f"varint block at byte offset {offset}: {detail}")
 
 
 def checksum64(data: bytes) -> bytes:
@@ -130,10 +147,12 @@ def read_checksummed(path) -> bytes:
 
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=os.path.basename(path))
+    directory, name = os.path.split(path)
+    # created like open() creates files, so the process umask sets its mode
+    tmp = os.path.join(directory, f".tmp.{os.urandom(6).hex()}.{name}")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -1,6 +1,9 @@
+import gzip
 import hashlib
+import os
 import random
 import shutil
+import stat
 
 import pytest
 
@@ -211,6 +214,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "BB2" in err and "aborted" in err
 
+    def test_output_and_index_files_follow_the_umask(self, fixture_dir, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert run_cli("index", "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx") == 0
+            assert run_cli("run", "--index-dir", tmp_path / "idx", "--topics", fixture_dir / "topics.txt",
+                           "--models", "BM25", "--output-dir", tmp_path / "runs", "--tag", "t") == 0
+        finally:
+            os.umask(old)
+        files = sorted((tmp_path / "idx").iterdir()) + [tmp_path / "runs" / "t.BM25.run"]
+        assert {"header.json", "doctable.bin", "lexicon.bin", "postings.bin"} <= {f.name for f in files}
+        assert {f.name: oct(stat.S_IMODE(f.stat().st_mode)) for f in files} == {f.name: oct(0o640) for f in files}
+
     def test_param_flags_change_scores(self, fixture_dir, tmp_path):
         run_cli("index", "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx")
         for mu, out in (("2500", "runs_a"), ("50", "runs_b")):
@@ -272,6 +287,13 @@ tag=fromconfig
 
     def test_missing_config_file_rejected(self, tmp_path):
         assert run_cli("index", "--config", tmp_path / "nope.conf") == 1
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.conf"
+        config.write_bytes(b"cutoff=9\n\xff\n")
+        assert run_cli("eval", "--config", config) == 1
+        expected = f"error: {config}: UTF-8 decode failure: invalid start byte | byte offset 9"
+        assert expected in capsys.readouterr().err
 
 
 class TestExpandCommand:
@@ -438,3 +460,21 @@ class TestFormatErrorsNameTheFile:
         offset = payload.index(b"\xff")
         expected = f"error: {corpus_dir / 'b.trec'}: UTF-8 decode failure: invalid start byte | byte offset {offset}"
         assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "corrupt", "bad-crc"])
+def test_broken_gzip_corpus_file_is_a_data_error_naming_the_file(damage, tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "a.trec").write_text("<DOC><DOCNO>z1</DOCNO><TEXT>alpha</TEXT></DOC>", encoding="utf-8")
+    good = gzip.compress(b"<DOC><DOCNO>z2</DOCNO><TEXT>beta gamma</TEXT></DOC>" * 20, mtime=0)
+    payload = {
+        "garbage": b"\x1f\x8b\x08\x00garbage",  # EOFError
+        "truncated": good[: len(good) // 2],  # EOFError
+        "corrupt": good[:10] + bytes(b ^ 0xFF for b in good[10:20]) + good[20:],  # zlib.error
+        "bad-crc": good[:-8] + bytes(4) + good[-4:],  # gzip.BadGzipFile
+    }[damage]
+    (corpus_dir / "b.trec.gz").write_bytes(payload)
+    assert run_cli("index", "--corpus", corpus_dir, "--index-dir", tmp_path / "idx") == 2
+    err = capsys.readouterr().err
+    assert f"error: {corpus_dir / 'b.trec.gz'}: corrupt or truncated gzip data: " in err

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import girit.retrieval as retrieval
 from girit.analysis import AnalyzerConfig, analyze
 from girit.corpus import RawDocument
 from girit.errors import AnalyzerMismatchError, ScoringDomainError, TopicError, UnknownModelError
@@ -210,6 +211,25 @@ class TestRank:
         assert exc_info.value.docid == "tiny"
         assert "rare" in str(exc_info.value)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_score_raises_with_context(self, cfg, monkeypatch, bad):
+        score_postings = retrieval.score_postings
+
+        def forced(model, tfs, dls, **kw):
+            scores = score_postings(model, tfs, dls, **kw)
+            if kw["term"] == "banana":
+                scores = scores.copy()
+                scores[1] = bad  # d3, the second document holding banana
+            return scores
+
+        monkeypatch.setattr(retrieval, "score_postings", forced)
+        index = build_index(self.docs(), cfg)
+        with pytest.raises(ScoringDomainError) as exc_info:
+            rank(index, self.bag(cfg, {"apple": 1, "banana": 1, "cherry": 1}), "BM25", k=2)
+        err = exc_info.value
+        assert (err.model, err.term, err.qid, err.docid) == ("BM25", "banana", "q1", "d3")
+        assert "non-finite score" in str(err)
+
     def test_deterministic_output(self, cfg, rng):
         docs = synth_corpus(rng, 100)
         index = build_index(docs, cfg)
@@ -249,6 +269,28 @@ class TestOracleEquivalence:
             assert fast.docids() == slow.docids(), model
             for a, b in zip(fast.entries, slow.entries):
                 assert a[2] == pytest.approx(b[2], rel=1e-9, abs=1e-12), model
+
+    @pytest.mark.parametrize("model", ["BM25", "TF_IDF", "DirichletLM", "PL2"])
+    def test_ties_at_the_cutoff_follow_docid_order(self, cfg, model):
+        # equal texts score equally; docids are ingested out of code-point order
+        names = [f"d{i}" for i in range(40)] + ["D7", "Z", "_x", "é1", "ß", "d"]
+        random.Random(5).shuffle(names)
+        docs = [
+            RawDocument(name, "tie tie common" if i % 3 else "tie common filler")
+            for i, name in enumerate(names)
+        ]
+        assert names != sorted(names)
+        bag = QueryBag(qid="q1", terms={"tie": 1, "common": 1}, fingerprint=cfg.fingerprint())
+        index = build_index(docs, cfg)
+        full = rank(index, bag, model, k=None)
+        splitting = [k for k in range(1, len(full)) if full.entries[k - 1][2] == full.entries[k][2]]
+        assert len(splitting) == len(docs) - 2  # every cutoff but the one between the groups
+        for k in splitting:
+            fast = rank(index, bag, model, k=k)
+            slow = oracle_rank(docs, bag, model, cfg, k=k)
+            assert fast.docids() == slow.docids() == full.docids()[:k]
+            for a, b in zip(fast.entries, slow.entries):
+                assert a[2] == pytest.approx(b[2], rel=1e-9, abs=1e-12)
 
     def test_single_document_corpus(self, cfg):
         docs = [RawDocument("only", "apple pie recipe " * 4)]
