@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .analysis import AnalyzerConfig, load_stopwords
-from .corpus import CorpusStats, parse_corpus
+from .corpus import parse_corpus
 from .errors import (
     AnalyzerMismatchError,
     ConfigError,
@@ -168,35 +168,21 @@ class Settings:
         )
 
 
-def _corpus_files(paths: list[str]) -> list[str]:
-    files: list[str] = []
+def _files_of(paths: list[str], kind: str, purpose: str, suffix: str = "") -> list[Path]:
+    """Each path as given; a directory stands for its files ending in
+    `suffix`, in name order."""
+    files: list[Path] = []
     for path in paths:
         if not os.path.exists(path):
-            raise ConfigError(f"corpus path does not exist: {path}")
+            raise ConfigError(f"{kind} path does not exist: {path}")
         if os.path.isdir(path):
-            names = sorted(os.listdir(path))
-            files.extend(os.path.join(path, n) for n in names if os.path.isfile(os.path.join(path, n)))
+            found = (Path(path, n) for n in sorted(os.listdir(path)) if n.endswith(suffix))
+            files.extend(f for f in found if f.is_file())
         else:
-            files.append(path)
+            files.append(Path(path))
     if not files:
-        raise ConfigError("no corpus files to index")
+        raise ConfigError(f"no {kind} files to {purpose}")
     return files
-
-
-class _CountingDocs:
-    """Pass-through doc iterator accumulating document count and text bytes."""
-
-    def __init__(self, iterables):
-        self.iterables = iterables
-        self.num_docs = 0
-        self.total_bytes = 0
-
-    def __iter__(self):
-        for docs in self.iterables:
-            for doc in docs:
-                self.num_docs += 1
-                self.total_bytes += len(doc.text.encode("utf-8"))
-                yield doc
 
 
 def _path_list(settings: Settings, key: str) -> list[str]:
@@ -212,19 +198,13 @@ def cmd_index(settings: Settings) -> int:
     paths = _path_list(settings, "corpus")
     if not paths:
         raise ConfigError("missing required option: --corpus")
-    files = _corpus_files(paths)
+    files = _files_of(paths, "corpus", "index")
     index_dir = settings.need("index_dir")
     cfg_analyzer = settings.analyzer()
     lenient = settings.get("lenient", False, bool)
     budget = settings.get("memory_budget_mb", 512, int)
-    counting = _CountingDocs([parse_corpus(f, lenient=lenient) for f in files])
-    index = build_index_to_dir(counting, cfg_analyzer, index_dir, memory_budget_mb=budget)
-    stats = CorpusStats(
-        num_documents=counting.num_docs,
-        vocabulary_size=index.stats.vocabulary_size,
-        num_tokens=index.stats.total_tokens,
-        total_bytes=counting.total_bytes,
-    )
+    docs = (doc for f in files for doc in parse_corpus(f, lenient=lenient))
+    stats = build_index_to_dir(docs, cfg_analyzer, index_dir, memory_budget_mb=budget)
     atomic_write_text(os.path.join(index_dir, "stats.txt"), stats.as_text())
     atomic_write_text(os.path.join(index_dir, "stats.csv"), stats.as_csv())
     sys.stdout.write(stats.as_text())
@@ -286,20 +266,6 @@ def cmd_expand(settings: Settings) -> int:
     return 0
 
 
-def _run_files(runs: list[str]) -> list[Path]:
-    files: list[Path] = []
-    for path in runs:
-        if not os.path.exists(path):
-            raise ConfigError(f"run path does not exist: {path}")
-        if os.path.isdir(path):
-            files.extend(Path(path, n) for n in sorted(os.listdir(path)) if n.endswith(".run"))
-        else:
-            files.append(Path(path))
-    if not files:
-        raise ConfigError("no run files to evaluate")
-    return files
-
-
 def _model_of_run_file(path: Path) -> str:
     name = path.name
     if name.endswith(".run"):
@@ -313,7 +279,7 @@ def cmd_eval(settings: Settings) -> int:
     paths = _path_list(settings, "runs")
     if not paths:
         raise ConfigError("missing required option: --runs")
-    files = _run_files(paths)
+    files = _files_of(paths, "run", "evaluate", suffix=".run")
     qrels = parse_qrels(settings.need_path("qrels"))
     cutoff = settings.get("cutoff", 1000, int)
     out_dir = settings.get("output_dir", ".")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gzip
 import logging
+import os
 import re
 import zlib
 from dataclasses import dataclass
@@ -147,14 +148,20 @@ def parse_corpus(source, lenient: bool = False):
     `source` is a named input (see `util.reading`); an open file must be
     binary. Structural problems (missing/duplicate/empty DOCNO, nested or
     unclosed <DOC>, stray closers) raise CorpusError; with ``lenient=True``
-    the offending document is skipped and logged instead. UTF-8 decode
-    failures always raise, carrying the byte offset of the bad input.
+    the offending document is skipped and logged instead. Either way the
+    document is named by the 1-based position of its <DOC> tag in the input.
+    UTF-8 decode failures always raise, carrying the byte offset of the bad
+    input.
     """
+    if isinstance(source, (str, os.PathLike)):
+        where = os.fspath(source)
+    else:
+        where = getattr(source, "name", "<stream>")
     with reading(source) as stream:
-        yield from _documents(_Utf8Stream(_gunzipped(stream)), lenient)
+        yield from _documents(_Utf8Stream(_gunzipped(stream)), lenient, where)
 
 
-def _documents(decoder: _Utf8Stream, lenient: bool):
+def _documents(decoder: _Utf8Stream, lenient: bool, where: str):
     buf = ""
     done = False
     state = _OUTSIDE
@@ -164,6 +171,8 @@ def _documents(decoder: _Utf8Stream, lenient: bool):
     have_text = False
     skipping = False  # lenient mode: discard until the next <DOC>
     seen: set[str] = set()
+    doc_tags = 0  # <DOC> tags seen so far
+    doc_at = 0  # position of the current document's <DOC> among them
 
     def reset_doc():
         nonlocal state, docno_parts, text_parts, have_docno, have_text
@@ -173,11 +182,12 @@ def _documents(decoder: _Utf8Stream, lenient: bool):
         have_docno = False
         have_text = False
 
-    def recover(err: CorpusError):
+    def recover(message: str, docid=None):
         nonlocal skipping
+        err = CorpusError(f"<DOC> #{doc_at}: {message}", docid=docid)
         if not lenient:
             raise err
-        log.warning("skipping malformed document: %s", err)
+        log.warning("%s: skipping malformed document: %s", where, err)
         reset_doc()
         skipping = True
 
@@ -194,60 +204,64 @@ def _documents(decoder: _Utf8Stream, lenient: bool):
             pos = match.end()
             closing = bool(match.group(1))
             name = match.group(2).upper()
+            if not closing and name == "DOC":
+                doc_tags += 1
             if skipping:
                 if not closing and name == "DOC":
                     skipping = False
                     state = _IN_DOC
+                    doc_at = doc_tags
                 continue
             if state == _IN_DOCNO:
                 docno_parts.append(content)
                 if closing and name == "DOCNO":
                     state = _IN_DOC
                 elif name in _STRUCTURAL:
-                    recover(CorpusError("unclosed <DOCNO>"))
+                    recover("unclosed <DOCNO>")
                 continue  # unknown tags inside DOCNO are skipped
             if state == _IN_TEXT:
                 text_parts.append(content)
                 if closing and name == "TEXT":
                     state = _IN_DOC
                 elif name == "DOC" and not closing:
-                    recover(CorpusError("nested <DOC>"))
+                    recover("nested <DOC>")
                 elif name in _STRUCTURAL:
-                    recover(CorpusError("unclosed <TEXT>"))
+                    recover("unclosed <TEXT>")
                 continue
             if state == _OUTSIDE:
                 if not closing and name == "DOC":
                     state = _IN_DOC
+                    doc_at = doc_tags
                 continue  # anything else outside <DOC> is ignored
             # state == _IN_DOC; content between regions is ignored
             if not closing and name == "DOC":
-                recover(CorpusError("nested <DOC>"))
+                recover("nested <DOC>")
             elif not closing and name == "DOCNO":
                 if have_docno:
-                    recover(CorpusError("multiple <DOCNO> in one document"))
+                    recover("multiple <DOCNO> in one document")
                 else:
                     have_docno = True
                     state = _IN_DOCNO
             elif not closing and name == "TEXT":
                 if have_text:
-                    recover(CorpusError("multiple <TEXT> in one document"))
+                    recover("multiple <TEXT> in one document")
                 else:
                     have_text = True
                     state = _IN_TEXT
             elif closing and name == "DOC":
                 docid = "".join(docno_parts).strip()
                 if not have_docno:
-                    recover(CorpusError("missing <DOCNO>"))
+                    recover("missing <DOCNO>")
                 elif not docid:
-                    recover(CorpusError("empty <DOCNO>"))
+                    recover("empty <DOCNO>")
                 elif docid in seen:
-                    recover(CorpusError("duplicate docid", docid=docid))
+                    recover("duplicate docid", docid=docid)
                 else:
                     seen.add(docid)
                     yield RawDocument(docid=docid, text="".join(text_parts))
                     reset_doc()
             elif closing and name in ("DOCNO", "TEXT"):
-                recover(CorpusError(f"stray </{name}>"))
+                recover(f"stray </{name}>")
             # unknown tags are skipped
 
         rest = buf[pos:]
@@ -266,11 +280,7 @@ def _documents(decoder: _Utf8Stream, lenient: bool):
             break
 
     if state != _OUTSIDE:
-        err = CorpusError("unclosed <DOC> at end of input")
-        if lenient:
-            log.warning("skipping malformed document: %s", err)
-        else:
-            raise err
+        recover("unclosed <DOC> at end of input")
 
 
 def serialize_document(doc: RawDocument) -> str:

@@ -297,14 +297,6 @@ class EvalSummary:
     total_relevant: int
     total_relevant_retrieved: int
 
-    @classmethod
-    def of(cls, result: EvalResult) -> "EvalSummary":
-        return cls(
-            model=result.model,
-            total_relevant=result.total_relevant,
-            total_relevant_retrieved=result.total_relevant_retrieved,
-        )
-
 
 def compare(before: dict[str, EvalSummary], after: dict[str, EvalSummary]) -> ComparisonReport:
     """Build the before/after expansion report, one row per model."""

@@ -25,6 +25,7 @@ import itertools
 import json
 import logging
 import os
+import struct
 import tempfile
 from array import array
 from collections import Counter
@@ -34,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import AnalyzerConfig, analyze
-from .corpus import RawDocument
+from .corpus import CorpusStats, RawDocument
 from .errors import CorpusError, EmptyCollectionError, IndexStoreError
 from .util import (
     CHECKSUM_BYTES,
@@ -65,14 +66,6 @@ class CollectionStats:
     @property
     def avgdl(self) -> float:
         return self.total_tokens / self.num_docs
-
-    def as_text(self) -> str:
-        return (
-            f"num_documents: {self.num_docs}\n"
-            f"total_tokens: {self.total_tokens}\n"
-            f"vocabulary_size: {self.vocabulary_size}\n"
-            f"avgdl: {self.avgdl:.6f}\n"
-        )
 
 
 class PostingList:
@@ -244,11 +237,12 @@ def _encode_postings(ids, tfs) -> bytes:
     return encode_varints(flat.tolist())
 
 
-def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, blocks) -> None:
+def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, blocks) -> int:
     """Write a format-v1 index directory; the one writer of the format.
 
     `blocks` yields (term, df, cf, v1 postings block) in term order. Postings
     stream to disk, so only the doctable and lexicon are held in memory.
+    Returns the vocabulary size written to the header.
     """
     os.makedirs(directory, exist_ok=True)
     header_path = os.path.join(directory, HEADER_FILE)
@@ -304,6 +298,7 @@ def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, blocks) -> Non
     }
     payload = json.dumps(header, sort_keys=True, ensure_ascii=True).encode("utf-8")
     write_checksummed(header_path, payload)
+    return vocabulary
 
 
 def _read_header(directory) -> dict:
@@ -339,6 +334,13 @@ def read_config(directory) -> AnalyzerConfig:
     return _config_from_header(_read_header(directory))
 
 
+# a spill run is a sequence of segments: this header (term bytes, posting
+# count), the term in UTF-8, then the ids and the tfs as native int32 arrays
+_RUN_HEADER = struct.Struct("<II")
+# spill runs read at once by a merge; far below common open-file limits
+_MAX_FAN_IN = 128
+
+
 class _Builder:
     """Accumulates postings in memory, spilling sorted runs under a byte budget."""
 
@@ -352,6 +354,7 @@ class _Builder:
         self.spill_dir = spill_dir
         self.docids: list[str] = []
         self.lengths = array("q")
+        self.text_bytes = 0
         self.postings: dict[str, tuple[array, array]] = {}
         self.seen: set[str] = set()
         self.approx_bytes = 0
@@ -369,6 +372,7 @@ class _Builder:
         self.seen.add(doc.docid)
         iid = len(self.docids)
         self.docids.append(doc.docid)
+        self.text_bytes += len(doc.text.encode("utf-8"))
         counts = Counter(analyze(doc.text, self.cfg))
         self.lengths.append(sum(counts.values()))
         postings = self.postings
@@ -391,14 +395,7 @@ class _Builder:
         path = os.path.join(self.spill_dir, f"run{len(self.run_paths):05d}.tmp")
         log.info("spilling %d terms (~%d MB) to %s", len(self.postings), self.approx_bytes >> 20, path)
         self.run_paths.append(path)
-        with open(path, "wb") as fh:
-            for term in sorted(self.postings):
-                ids, tfs = self.postings[term]
-                raw = term.encode("utf-8")
-                fh.write(encode_varints((len(raw), len(ids))))
-                fh.write(raw)
-                fh.write(ids.tobytes())
-                fh.write(tfs.tobytes())
+        _write_run(path, ((term, *self.postings[term]) for term in sorted(self.postings)))
         self.postings = {}
         self.approx_bytes = 0
 
@@ -407,49 +404,66 @@ class _Builder:
 
         Spill runs were written in document order, so for any term the
         segment ids are strictly increasing across runs in merge order.
+        Beyond _MAX_FAN_IN runs, consecutive groups are merged into one run
+        first, which keeps that order.
         """
-        iters = [_run_segments(p) for p in self.run_paths]
+        runs = self.run_paths
+        while len(runs) > _MAX_FAN_IN:
+            runs = [_merge_runs(runs[i : i + _MAX_FAN_IN]) for i in range(0, len(runs), _MAX_FAN_IN)]
+        iters = [_run_segments(p) for p in runs]
         iters.append(
             (term, *self.postings[term]) for term in sorted(self.postings)
         )
-        merged = heapq.merge(*iters, key=lambda seg: seg[0])
-        for term, group in itertools.groupby(merged, key=lambda seg: seg[0]):
-            pieces = list(group)
-            if len(pieces) == 1:
-                _, ids, tfs = pieces[0]
-            else:
-                ids = array("i")
-                tfs = array("i")
-                for _, seg_ids, seg_tfs in pieces:
-                    ids.extend(seg_ids)
-                    tfs.extend(seg_tfs)
+        for term, ids, tfs in _merged(iters):
             yield term, len(ids), sum(tfs), _encode_postings(ids, tfs)
 
-    def cleanup(self) -> None:
-        for path in self.run_paths:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+
+def _merged(iters):
+    """Merge sorted (term, ids, tfs) segment streams, in stream order per term."""
+    merged = heapq.merge(*iters, key=lambda seg: seg[0])
+    for term, group in itertools.groupby(merged, key=lambda seg: seg[0]):
+        pieces = list(group)
+        if len(pieces) == 1:
+            yield pieces[0]
+            continue
+        ids = array("i")
+        tfs = array("i")
+        for _, seg_ids, seg_tfs in pieces:
+            ids.extend(seg_ids)
+            tfs.extend(seg_tfs)
+        yield term, ids, tfs
+
+
+def _write_run(path, segments) -> None:
+    with open(path, "wb") as fh:
+        for term, ids, tfs in segments:
+            raw = term.encode("utf-8")
+            fh.write(_RUN_HEADER.pack(len(raw), len(ids)))
+            fh.write(raw)
+            ids.tofile(fh)
+            tfs.tofile(fh)
 
 
 def _run_segments(path):
+    """Stream a spill run back, one (term, ids, tfs) segment at a time."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    pos = 0
-    end = len(data)
-    while pos < end:
-        nraw, pos = read_varint(data, pos)
-        count, pos = read_varint(data, pos)
-        term = data[pos : pos + nraw].decode("utf-8")
-        pos += nraw
-        ids = array("i")
-        ids.frombytes(data[pos : pos + 4 * count])
-        pos += 4 * count
-        tfs = array("i")
-        tfs.frombytes(data[pos : pos + 4 * count])
-        pos += 4 * count
-        yield term, ids, tfs
+        while head := fh.read(_RUN_HEADER.size):
+            nraw, count = _RUN_HEADER.unpack(head)
+            term = fh.read(nraw).decode("utf-8")
+            ids = array("i")
+            ids.fromfile(fh, count)
+            tfs = array("i")
+            tfs.fromfile(fh, count)
+            yield term, ids, tfs
+
+
+def _merge_runs(paths) -> str:
+    """Merge consecutive spill runs into one run file; the inputs are removed."""
+    path = paths[0] + ".merged"
+    _write_run(path, _merged([_run_segments(p) for p in paths]))
+    for p in paths:
+        os.unlink(p)
+    return path
 
 
 def build_index(docs, cfg: AnalyzerConfig) -> Index:
@@ -464,22 +478,22 @@ def build_index(docs, cfg: AnalyzerConfig) -> Index:
     return Index(cfg, DocTable(builder.docids, builder.lengths), lexicon, bytes(payload))
 
 
-def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: int = 512) -> Index:
-    """Stream-build an index into `directory` under a memory budget; returns it loaded.
+def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: int = 512) -> CorpusStats:
+    """Stream-build an index into `directory` under a memory budget.
 
-    Produces byte-identical files to build_index(...).persist(directory) for
-    the same documents, regardless of how many spill runs were needed.
+    Returns the statistics of what was written, counted while building; the
+    directory is not read back. Produces byte-identical files to
+    build_index(...).persist(directory) for the same documents, regardless of
+    how many spill runs were needed.
     """
     os.makedirs(directory, exist_ok=True)
-    spill_dir = tempfile.mkdtemp(prefix=".build.", dir=directory)
-    builder = _Builder(cfg, budget_bytes=memory_budget_mb << 20, spill_dir=spill_dir)
-    try:
+    with tempfile.TemporaryDirectory(prefix=".build.", dir=directory) as spill_dir:
+        builder = _Builder(cfg, budget_bytes=memory_budget_mb << 20, spill_dir=spill_dir)
         builder.add_all(docs)
-        _write_index(directory, cfg, builder.docids, builder.lengths, builder.blocks())
-    finally:
-        builder.cleanup()
-        try:
-            os.rmdir(spill_dir)
-        except OSError:
-            pass
-    return Index.load(directory)
+        vocabulary = _write_index(directory, cfg, builder.docids, builder.lengths, builder.blocks())
+    return CorpusStats(
+        num_documents=len(builder.docids),
+        vocabulary_size=vocabulary,
+        num_tokens=sum(builder.lengths),
+        total_bytes=builder.text_bytes,
+    )

@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import logging
 import os
 import random
 import shutil
@@ -7,8 +8,9 @@ import stat
 
 import pytest
 
+from girit.analysis import AnalyzerConfig
 from girit.cli import main
-from girit.corpus import write_corpus
+from girit.corpus import CorpusStats, corpus_stats, parse_corpus, write_corpus
 from girit.index import Index, read_config
 from girit.models import MODEL_IDS
 from girit.retrieval import parse_topics, write_topics
@@ -87,6 +89,47 @@ class TestIndexCommand:
         cfg = Index.load(tmp_path / "idx").cfg
         assert cfg.min_token_length == 4
         assert not cfg.lowercase_latin
+
+    def test_stats_come_from_the_build_not_a_reload(self, fixture_dir, tmp_path, monkeypatch):
+        corpus = fixture_dir / "corpus.trec"
+
+        def no_load(directory):
+            raise AssertionError(f"girit index read {directory} back")
+
+        with monkeypatch.context() as m:
+            m.setattr(Index, "load", no_load)
+            assert run_cli("index", "--corpus", corpus, "--index-dir", tmp_path / "idx") == 0
+        loaded = Index.load(tmp_path / "idx").stats
+        expected = CorpusStats(
+            num_documents=loaded.num_docs,
+            vocabulary_size=loaded.vocabulary_size,
+            num_tokens=loaded.total_tokens,
+            total_bytes=corpus_stats(parse_corpus(corpus), AnalyzerConfig()).total_bytes,
+        )
+        assert (tmp_path / "idx" / "stats.txt").read_text(encoding="utf-8") == expected.as_text()
+
+    def test_lenient_warnings_name_the_file_and_the_document(self, tmp_path, caplog):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "a.trec").write_text(
+            "<DOC><DOCNO>a1</DOCNO><TEXT>alpha</TEXT></DOC>\n"
+            "<DOC><TEXT>no docno</TEXT></DOC>\n",
+            encoding="utf-8",
+        )
+        (corpus_dir / "b.trec").write_text(
+            "<DOC><DOCNO>b1</DOCNO><TEXT>beta</TEXT></DOC>\n"
+            "<DOC><DOCNO>b2</DOCNO><TEXT>gamma</TEXT></DOC>\n"
+            "<DOC><DOCNO>b1</DOCNO><TEXT>again</TEXT></DOC>\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING, logger="girit.corpus"):
+            code = run_cli("index", "--lenient", "--corpus", corpus_dir, "--index-dir", tmp_path / "idx")
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "girit.corpus"] == [
+            f"{corpus_dir / 'a.trec'}: skipping malformed document: <DOC> #2: missing <DOCNO>",
+            f"{corpus_dir / 'b.trec'}: skipping malformed document: <DOC> #3: duplicate docid | docid='b1'",
+        ]
+        assert Index.load(tmp_path / "idx").doc_table.docids == ["a1", "b1", "b2"]
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +483,18 @@ class TestFormatErrorsNameTheFile:
                        "--output-dir", tmp_path / "eval")
         assert code == 2
         assert f"error: {bad}: line 2: rank 3 out of order (expected 2)" in capsys.readouterr().err
+
+    def test_a_directory_of_runs_holds_only_run_files(self, workspace, fixture_dir, tmp_path):
+        runs = tmp_path / "runs"
+        shutil.copytree(workspace / "runs_before", runs)
+        (runs / "notes.txt").write_text("not a run\n", encoding="utf-8")
+        (runs / "nested.run").mkdir()
+        code = run_cli("eval", "--runs", runs, "--qrels", fixture_dir / "qrels.txt",
+                       "--output-dir", tmp_path / "eval")
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "eval").glob("*.eval")) == sorted(
+            p.name.split(".")[1] + ".eval" for p in (workspace / "runs_before").glob("*.run")
+        )
 
     def test_bad_topics_file(self, workspace, tmp_path, capsys):
         bad = tmp_path / "topics.txt"

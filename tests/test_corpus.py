@@ -130,6 +130,20 @@ class TestParseErrors:
             list(parse_corpus(io.BytesIO(payload)))
         assert exc_info.value.offset == payload.index(b"\xff")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("<DOC><DOCNO>a</DOCNO></DOC><DOC><TEXT>x</TEXT></DOC>", "<DOC> #2: missing <DOCNO>"),
+            ("<DOC><DOCNO>a</DOCNO><TEXT>x<DOC></TEXT></DOC>", "<DOC> #1: nested <DOC>"),
+            ("<DOC><DOCNO>a</DOCNO></DOC><DOC><DOCNO>b</DOCNO></DOC><DOC><DOCNO>c</DOCNO>",
+             "<DOC> #3: unclosed <DOC> at end"),
+        ],
+        ids=["missing-docno", "nested", "unclosed-at-end"],
+    )
+    def test_error_names_the_position_of_its_doc(self, text, message):
+        with pytest.raises(CorpusError, match=message):
+            parse_all(text)
+
 
 class TestLenient:
     def test_skips_bad_documents_and_logs(self, caplog):

@@ -6,7 +6,7 @@ import pytest
 
 import girit.index
 from girit.analysis import AnalyzerConfig, analyze
-from girit.corpus import RawDocument
+from girit.corpus import RawDocument, corpus_stats
 from girit.errors import CorpusError, EmptyCollectionError, IndexStoreError
 from girit.index import (
     DOCTABLE_FILE,
@@ -147,11 +147,40 @@ class TestPersistence:
         docs = synth_corpus(random.Random(9), 400, vocab_size=100)
         build_index(docs, cfg).persist(tmp_path / "mem")
         # zero budget forces a spill run per document; bytes must not change
-        spilled = build_index_to_dir(docs, cfg, tmp_path / "spill", memory_budget_mb=0)
+        build_index_to_dir(docs, cfg, tmp_path / "spill", memory_budget_mb=0)
         mem_bytes = _dir_bytes(tmp_path / "mem")
         spill_bytes = _dir_bytes(tmp_path / "spill")
         assert mem_bytes == spill_bytes
+        spilled = Index.load(tmp_path / "spill")
         assert spilled.lookup(next(iter(spilled.terms()))) is not None
+
+    def test_many_spill_runs_merge_in_groups(self, cfg, tmp_path, monkeypatch):
+        docs = synth_corpus(random.Random(9), 60, vocab_size=100)
+        build_index(docs, cfg).persist(tmp_path / "mem")
+        opened = []
+        segments = girit.index._run_segments
+
+        def counted(path):
+            opened.append(path)
+            return segments(path)
+
+        monkeypatch.setattr(girit.index, "_MAX_FAN_IN", 4)
+        monkeypatch.setattr(girit.index, "_run_segments", counted)
+        # a spill run per document: 60 runs merge into 15, those into 4, then the final merge
+        build_index_to_dir(docs, cfg, tmp_path / "spill", memory_budget_mb=0)
+        assert _dir_bytes(tmp_path / "mem") == _dir_bytes(tmp_path / "spill")
+        assert len(opened) == 60 + 15 + 4
+        assert not list((tmp_path / "spill").rglob("*.tmp*"))
+
+    @pytest.mark.parametrize("budget", [{"memory_budget_mb": 0}, {}], ids=["budget-0", "default-budget"])
+    def test_build_to_dir_returns_the_stats_of_what_it_wrote(self, cfg, tmp_path, budget):
+        docs = synth_corpus(random.Random(13), 150, vocab_size=200)
+        stats = build_index_to_dir(docs, cfg, tmp_path / "idx", **budget)
+        assert stats == corpus_stats(docs, cfg)
+        # the spill directory is gone once the build is done
+        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == sorted(
+            [DOCTABLE_FILE, HEADER_FILE, LEXICON_FILE, POSTINGS_FILE]
+        )
 
     def test_analyzer_config_round_trips(self, tmp_path):
         cfg = AnalyzerConfig(
