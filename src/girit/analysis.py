@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -92,21 +93,62 @@ def normalize(token: str, cfg: AnalyzerConfig) -> str:
     return out
 
 
+class _Memo(dict):
+    """Raw token -> its term, or None when the analyzer drops it.
+
+    A missing token is normalized once and remembered; `nbytes` is the
+    memory the memo holds, its table and the strings it keeps alive.
+    """
+
+    __slots__ = ("cfg", "strings")
+
+    def __init__(self, cfg: AnalyzerConfig):
+        super().__init__()
+        self.cfg = cfg
+        self.strings = 0
+
+    def __missing__(self, raw: str):
+        cfg = self.cfg
+        term = normalize(raw, cfg)
+        self.strings += sys.getsizeof(raw)
+        if term in cfg.stopword_list or len(term) < cfg.min_token_length:
+            term = None
+        elif term == raw:
+            term = raw  # one string, not two equal ones
+        else:
+            self.strings += sys.getsizeof(term)
+        self[raw] = term
+        return term
+
+    def nbytes(self) -> int:
+        return sys.getsizeof(self) + self.strings
+
+
+# one memo per analyzer configuration, for the life of the process
+_MEMOS: dict[AnalyzerConfig, _Memo] = {}
+
+
+def _memo(cfg: AnalyzerConfig) -> _Memo:
+    memo = _MEMOS.get(cfg)
+    if memo is None:
+        memo = _MEMOS[cfg] = _Memo(cfg)
+    return memo
+
+
 def analyze(text: str, cfg: AnalyzerConfig) -> list[str]:
-    """tokenize -> normalize -> drop stopwords -> drop short tokens, order kept."""
-    stop = cfg.stopword_list
-    min_len = cfg.min_token_length
-    memo: dict[str, str] = {}
-    out = []
-    for raw in tokenize(text):
-        term = memo.get(raw)
-        if term is None:
-            term = normalize(raw, cfg)
-            memo[raw] = term
-        if term in stop or len(term) < min_len:
-            continue
-        out.append(term)
-    return out
+    """tokenize -> normalize -> drop stopwords -> drop short tokens, order kept.
+
+    Each distinct raw token is normalized once per process and
+    configuration. A term is never empty, so `filter(None, ...)` drops
+    exactly the tokens the memo maps to None.
+    """
+    return [*filter(None, map(_memo(cfg).__getitem__, tokenize(text)))]
+
+
+def memo_bytes(cfg: AnalyzerConfig) -> int:
+    """Bytes held by the analyzer memo of `cfg` (0 before its first use)."""
+    memo = _MEMOS.get(cfg)
+    return memo.nbytes() if memo is not None else 0
 
 
 def load_stopwords(source, cfg: AnalyzerConfig | None = None) -> frozenset[str]:

@@ -203,7 +203,8 @@ def cmd_index(settings: Settings) -> int:
     cfg_analyzer = settings.analyzer()
     lenient = settings.get("lenient", False, bool)
     budget = settings.get("memory_budget_mb", 512, int)
-    docs = (doc for f in files for doc in parse_corpus(f, lenient=lenient))
+    seen: set[str] = set()  # docids across all the files
+    docs = (doc for f in files for doc in parse_corpus(f, lenient=lenient, seen=seen))
     stats = build_index_to_dir(docs, cfg_analyzer, index_dir, memory_budget_mb=budget)
     atomic_write_text(os.path.join(index_dir, "stats.txt"), stats.as_text())
     atomic_write_text(os.path.join(index_dir, "stats.csv"), stats.as_csv())

@@ -142,7 +142,7 @@ _OUTSIDE, _IN_DOC, _IN_DOCNO, _IN_TEXT = range(4)
 _STRUCTURAL = ("DOC", "DOCNO", "TEXT")
 
 
-def parse_corpus(source, lenient: bool = False):
+def parse_corpus(source, lenient: bool = False, seen: set[str] | None = None):
     """Yield RawDocument records from a tagged corpus, in file order.
 
     `source` is a named input (see `util.reading`); an open file must be
@@ -150,6 +150,8 @@ def parse_corpus(source, lenient: bool = False):
     unclosed <DOC>, stray closers) raise CorpusError; with ``lenient=True``
     the offending document is skipped and logged instead. Either way the
     document is named by the 1-based position of its <DOC> tag in the input.
+    A docid is a duplicate if it is in `seen`, which collects the docids
+    yielded; pass one set to the calls for several files of one corpus.
     UTF-8 decode failures always raise, carrying the byte offset of the bad
     input.
     """
@@ -158,10 +160,10 @@ def parse_corpus(source, lenient: bool = False):
     else:
         where = getattr(source, "name", "<stream>")
     with reading(source) as stream:
-        yield from _documents(_Utf8Stream(_gunzipped(stream)), lenient, where)
+        yield from _documents(_Utf8Stream(_gunzipped(stream)), lenient, where, set() if seen is None else seen)
 
 
-def _documents(decoder: _Utf8Stream, lenient: bool, where: str):
+def _documents(decoder: _Utf8Stream, lenient: bool, where: str, seen: set[str]):
     buf = ""
     done = False
     state = _OUTSIDE
@@ -170,7 +172,6 @@ def _documents(decoder: _Utf8Stream, lenient: bool, where: str):
     have_docno = False
     have_text = False
     skipping = False  # lenient mode: discard until the next <DOC>
-    seen: set[str] = set()
     doc_tags = 0  # <DOC> tags seen so far
     doc_at = 0  # position of the current document's <DOC> among them
 

@@ -20,21 +20,22 @@ share across threads.
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
 import json
 import logging
 import os
 import struct
+import sys
 import tempfile
 from array import array
+from bisect import bisect_right
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .analysis import AnalyzerConfig, analyze
+from .analysis import AnalyzerConfig, analyze, memo_bytes
 from .corpus import CorpusStats, RawDocument
 from .errors import CorpusError, EmptyCollectionError, IndexStoreError
 from .util import (
@@ -43,6 +44,7 @@ from .util import (
     encode_varints,
     read_checksummed,
     read_varint,
+    varint_widths,
     write_checksummed,
 )
 
@@ -181,12 +183,13 @@ class Index:
 
     def persist(self, directory) -> None:
         """Write the versioned on-disk format; deterministic for equal content."""
-        buf = self._buf
-        blocks = (
-            (term, df, cf, buf[offset : offset + nbytes])
-            for term, (df, cf, offset, nbytes) in sorted(self._lexicon.items())
-        )
-        _write_index(directory, self.cfg, self.doc_table.docids, self.doc_table.lengths.tolist(), blocks)
+        terms = sorted(self._lexicon)
+        entries = np.array([self._lexicon[t] for t in terms], dtype=np.int64).reshape(-1, 4)
+        df, cf, offsets, nbytes = entries.T
+        buf = memoryview(self._buf)
+        payload = b"".join(buf[o : o + n] for o, n in zip(offsets.tolist(), nbytes.tolist()))
+        batches = [(terms, df, cf, nbytes, payload)] if terms else []
+        _write_index(directory, self.cfg, self.doc_table.docids, self.doc_table.lengths, batches)
 
     @classmethod
     def load(cls, directory) -> "Index":
@@ -229,32 +232,43 @@ class Index:
         return index
 
 
-def _encode_postings(ids, tfs) -> bytes:
-    gaps = np.diff(ids, prepend=0)
-    flat = np.empty(2 * len(ids), dtype=np.int64)
-    flat[0::2] = gaps
-    flat[1::2] = tfs
-    return encode_varints(flat.tolist())
+def _records(strings: list[str], numbers: np.ndarray) -> bytearray:
+    """Per row: varint(UTF-8 length of the string), the string in UTF-8,
+    then that row of `numbers` as varints.
+
+    All the numbers are encoded in one encode_varints call. Each string is
+    encoded as it is copied, so no per-row object outlives its row.
+    """
+    lengths = np.fromiter((len(s.encode("utf-8")) for s in strings), np.int64, len(strings))
+    values = np.column_stack([lengths, numbers]).reshape(-1)
+    encoded = memoryview(encode_varints(values))
+    cuts = np.cumsum(varint_widths(values)).reshape(len(strings), numbers.shape[1] + 1)
+    out = bytearray()
+    start = 0
+    for s, head, end in zip(strings, cuts[:, 0], cuts[:, -1]):
+        out += encoded[start:head]
+        out += s.encode("utf-8")
+        out += encoded[head:end]
+        start = end
+    return out
 
 
-def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, blocks) -> int:
+def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, batches) -> int:
     """Write a format-v1 index directory; the one writer of the format.
 
-    `blocks` yields (term, df, cf, v1 postings block) in term order. Postings
-    stream to disk, so only the doctable and lexicon are held in memory.
-    Returns the vocabulary size written to the header.
+    `batches` yields (terms, df, cf, nbytes, payload) in term order, where
+    payload is the v1 postings blocks of the batch's terms back to back,
+    nbytes[i] of them for terms[i]. Postings stream to disk, so only the
+    doctable and lexicon are held in memory. Returns the vocabulary size
+    written to the header.
     """
     os.makedirs(directory, exist_ok=True)
     header_path = os.path.join(directory, HEADER_FILE)
     if os.path.exists(header_path):
         os.unlink(header_path)
-    doc_payload = bytearray()
-    for docid, dl in zip(docids, lengths):
-        raw = docid.encode("utf-8")
-        doc_payload += encode_varints((len(raw),))
-        doc_payload += raw
-        doc_payload += encode_varints((dl,))
-    write_checksummed(os.path.join(directory, DOCTABLE_FILE), bytes(doc_payload))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    doc_payload = _records(docids, lengths[:, None])
+    write_checksummed(os.path.join(directory, DOCTABLE_FILE), doc_payload)
 
     lex_payload = bytearray()
     offset = 0
@@ -263,15 +277,13 @@ def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, blocks) -> int
     try:
         with open(post_path + ".tmp", "wb") as fh:
             hasher = hashlib.blake2b(digest_size=CHECKSUM_BYTES)
-            for term, df, cf, block in blocks:
-                raw = term.encode("utf-8")
-                lex_payload += encode_varints((len(raw),))
-                lex_payload += raw
-                lex_payload += encode_varints((df, cf, offset, len(block)))
-                fh.write(block)
-                hasher.update(block)
-                offset += len(block)
-                vocabulary += 1
+            for terms, df, cf, nbytes, payload in batches:
+                starts = offset + np.cumsum(nbytes) - nbytes
+                lex_payload += _records(terms, np.column_stack([df, cf, starts, nbytes]))
+                fh.write(payload)
+                hasher.update(payload)
+                offset += len(payload)
+                vocabulary += len(terms)
             fh.write(hasher.digest())
         os.replace(post_path + ".tmp", post_path)
     except BaseException:
@@ -280,7 +292,7 @@ def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, blocks) -> int
         except OSError:
             pass
         raise
-    write_checksummed(os.path.join(directory, LEXICON_FILE), bytes(lex_payload))
+    write_checksummed(os.path.join(directory, LEXICON_FILE), lex_payload)
 
     header = {
         "magic": MAGIC,
@@ -293,7 +305,7 @@ def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, blocks) -> int
         },
         "fingerprint": cfg.fingerprint(),
         "num_documents": len(docids),
-        "total_tokens": int(sum(lengths)),
+        "total_tokens": int(lengths.sum()),
         "vocabulary_size": vocabulary,
     }
     payload = json.dumps(header, sort_keys=True, ensure_ascii=True).encode("utf-8")
@@ -334,19 +346,236 @@ def read_config(directory) -> AnalyzerConfig:
     return _config_from_header(_read_header(directory))
 
 
-# a spill run is a sequence of segments: this header (term bytes, posting
-# count), the term in UTF-8, then the ids and the tfs as native int32 arrays
-_RUN_HEADER = struct.Struct("<II")
+# A spill run file: this header (terms, term bytes, rows); the rows as
+# (internal id, tf) int32 pairs, by term and then by id; the term table as
+# (UTF-8 length, df) int32 pairs; then the terms' UTF-8 bytes.
+_RUN_HEADER = struct.Struct("<QQQ")
+# term table entries read from a spill run at a time
+_RUN_TABLE_READ = 64
 # spill runs read at once by a merge; far below common open-file limits
 _MAX_FAN_IN = 128
+# rank column entries a scan or a rewrite handles at a time, per batch posting
+_CHUNK_PER_BATCH = 4
+# postings per merge batch: without a budget, and the least under one
+_MAX_BATCH = 1 << 16
+_MIN_BATCH = 1 << 10
+# peak bytes per posting of one batch's temporaries: rows, sort keys and
+# order, the int64 values, encode_varints' work arrays and the term table
+# entries read ahead (tracemalloc measured 70-130 on 10k-document builds)
+_BATCH_COST = 160
+# a term id in the term map, as the allocator rounds an int object
+_INT_BYTES = 32
+
+
+def _key_dtype(count: int):
+    # a stable argsort of 16-bit keys is a radix sort
+    return np.uint16 if count <= 1 << 16 else np.int64
+
+
+class _TermIds(dict):
+    """term -> column id, numbered in first-seen order."""
+
+    def __missing__(self, term):
+        self[term] = n = len(self)
+        return n
+
+    def nbytes(self) -> int:
+        return sys.getsizeof(self) + _INT_BYTES * len(self)
+
+
+class _Sorted:
+    """Rows sorted by term and then internal id, taken front to back a few
+    terms at a time. `terms` and `dfs` are the term table entries read and
+    not yet taken; `_more` reads further entries (False when there are none)
+    and `_rows` the rows of the next `count` terms."""
+
+    terms: list[str]
+    dfs: np.ndarray
+
+    def peek(self, limit: int) -> list[str]:
+        """The next terms: as many as fit in `limit` postings, at least one."""
+        cum = np.cumsum(self.dfs)
+        while (not cum.size or cum[-1] < limit) and self._more():
+            cum = np.cumsum(self.dfs)
+        fit = int(np.searchsorted(cum, limit, side="right"))
+        return self.terms[: max(1, fit)]
+
+    def take(self, count: int):
+        """(terms, dfs, rows) of the next `count` terms."""
+        terms, self.terms = self.terms[:count], self.terms[count:]
+        dfs, self.dfs = self.dfs[:count], self.dfs[count:]
+        return terms, dfs, self._rows(count, int(dfs.sum()))
+
+    def done(self) -> bool:
+        return not self.terms and not self._more()
+
+
+class _Columns(_Sorted):
+    """The builder's rows since its last spill, with term ids rewritten to
+    ranks in `terms`. The rows of a range of ranks are found by one scan
+    over the rank column, chunk by chunk, and one stable argsort, so no
+    temporary is as wide as the columns."""
+
+    def __init__(self, terms, dfs, ranks, tfs, ends, first_doc, chunk):
+        self.terms = terms
+        self.dfs = dfs
+        self._chunk = chunk
+        self._ranks = ranks
+        self._tfs = tfs
+        self._ends = ends
+        self._first_doc = first_doc
+        self._next = 0  # rank of the first term not yet taken
+
+    def _more(self) -> bool:
+        return False
+
+    def _rows(self, count, postings):
+        lo = self._next
+        self._next += count
+        ranks, chunk = self._ranks, self._chunk
+        pos = np.concatenate([
+            np.flatnonzero((ranks[a : a + chunk] - lo).view(np.uint32) < count) + a
+            for a in range(0, len(ranks), chunk)
+        ])
+        rows = np.empty((postings, 2), dtype=np.int32)
+        # positions are still ascending here, which makes this search cheap
+        rows[:, 0] = np.searchsorted(self._ends, pos, side="right") + self._first_doc
+        rows[:, 1] = self._tfs[pos]
+        keys = (ranks[pos] - lo).astype(_key_dtype(count))
+        return rows[np.argsort(keys, kind="stable")]
+
+
+class _Run(_Sorted):
+    """A spill run file, read front to back."""
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        nterms, nblob, nrows = _RUN_HEADER.unpack(self._read(0, _RUN_HEADER.size))
+        self._rows_at = _RUN_HEADER.size
+        self._table_at = self._rows_at + 8 * nrows
+        self._blob_at = self._table_at + 8 * nterms
+        self._unread = nterms
+        self.terms = []
+        self.dfs = np.empty(0, dtype=np.int64)
+
+    def _read(self, at: int, size: int) -> bytes:
+        self._fh.seek(at)
+        data = self._fh.read(size)
+        if len(data) != size:
+            raise IndexStoreError(f"{self._fh.name}: spill run is truncated")
+        return data
+
+    def _more(self) -> bool:
+        count = min(self._unread, _RUN_TABLE_READ)
+        if not count:
+            return False
+        table = np.frombuffer(self._read(self._table_at, 8 * count), dtype=np.int32).reshape(count, 2)
+        ends = np.cumsum(table[:, 0])
+        blob = self._read(self._blob_at, int(ends[-1]))
+        starts = (ends - table[:, 0]).tolist()
+        self.terms += [blob[a:b].decode("utf-8") for a, b in zip(starts, ends.tolist())]
+        self.dfs = np.concatenate([self.dfs, table[:, 1]])
+        self._table_at += 8 * count
+        self._blob_at += len(blob)
+        self._unread -= count
+        return True
+
+    def _rows(self, count, postings):
+        rows = np.frombuffer(self._read(self._rows_at, 8 * postings), dtype=np.int32)
+        self._rows_at += 8 * postings
+        return rows.reshape(postings, 2)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _batches(sources, limit: int):
+    """Merge sorted sources into batches of whole terms, in term order.
+
+    Yields (terms, dfs, rows) with about `limit` postings (but at least a
+    table read's worth from each source), or one term if that term alone
+    has more. The sources hold consecutive document ranges
+    in order, so one stable sort of a batch's rows by term keeps them in
+    document order within each term.
+    """
+    live = [s for s in sources if not s.done()]
+    while live:
+        # at least a table read from each source, or many sources make tiny batches
+        share = max(_RUN_TABLE_READ, limit // len(live))
+        heads = [s.peek(share) for s in live]
+        cutoff = min(head[-1] for head in heads)
+        counts = [bisect_right(head, cutoff) for head in heads]
+        taken = [s.take(n) for s, n in zip(live, counts) if n]
+        live = [s for s in live if not s.done()]
+        if len(taken) == 1:
+            yield taken[0]
+            continue
+        terms = sorted(set().union(*(t for t, _, _ in taken)))
+        rank = dict(zip(terms, range(len(terms))))
+        dtype = _key_dtype(len(terms))
+        keys = np.concatenate([
+            np.repeat(np.fromiter(map(rank.__getitem__, t), dtype, len(t)), d) for t, d, _ in taken
+        ])
+        rows = np.concatenate([r for _, _, r in taken])[np.argsort(keys, kind="stable")]
+        yield terms, np.bincount(keys, minlength=len(terms)), rows
+
+
+def _encoded(batches):
+    """(terms, df, cf, nbytes, payload) for each (terms, dfs, rows) batch;
+    payload is the v1 postings blocks of its terms, back to back, from one
+    encode_varints call."""
+    for terms, dfs, rows in batches:
+        firsts = np.cumsum(dfs) - dfs
+        values = rows.astype(np.int64)
+        values[1:, 0] -= rows[:-1, 0]
+        values[firsts, 0] = rows[firsts, 0]  # gaps reset at each term's first posting
+        flat = values.reshape(-1)
+        payload = encode_varints(flat)
+        nbytes = np.add.reduceat(varint_widths(flat), 2 * firsts)
+        yield terms, dfs, np.add.reduceat(values[:, 1], firsts), nbytes, payload
+
+
+def _write_run(path, batches) -> None:
+    """Write (terms, dfs, rows) batches as a spill run; the term table is
+    kept in memory until the rows are written."""
+    table = []
+    blob = bytearray()
+    nrows = 0
+    with open(path, "wb") as fh:
+        fh.seek(_RUN_HEADER.size)
+        for terms, dfs, rows in batches:
+            raws = [term.encode("utf-8") for term in terms]
+            table.append(np.column_stack([np.fromiter(map(len, raws), np.int64, len(raws)), dfs]).astype(np.int32))
+            blob += b"".join(raws)
+            fh.write(rows)
+            nrows += len(rows)
+        for part in table:
+            fh.write(part)
+        fh.write(blob)
+        fh.seek(0)
+        fh.write(_RUN_HEADER.pack(sum(map(len, table)), len(blob), nrows))
+
+
+def _merge_runs(paths, limit: int) -> str:
+    """Merge consecutive spill runs into one run file; the inputs are removed."""
+    path = paths[0] + ".merged"
+    with ExitStack() as stack:
+        _write_run(path, _batches([stack.enter_context(_Run(p)) for p in paths], limit))
+    for p in paths:
+        os.unlink(p)
+    return path
 
 
 class _Builder:
-    """Accumulates postings in memory, spilling sorted runs under a byte budget."""
+    """Accumulates postings as columns, spilling sorted runs under a byte budget.
 
-    # rough in-memory cost accounting: 8 bytes per posting, ~120 per new term
-    _POSTING_COST = 8
-    _TERM_COST = 120
+    Each document appends its (term id, tf) rows to two int32 columns and
+    the end of its rows to a third; ids number the terms of the term map,
+    which starts afresh after every spill.
+    """
 
     def __init__(self, cfg: AnalyzerConfig, budget_bytes: int | None, spill_dir: str | None):
         self.cfg = cfg
@@ -355,10 +584,33 @@ class _Builder:
         self.docids: list[str] = []
         self.lengths = array("q")
         self.text_bytes = 0
-        self.postings: dict[str, tuple[array, array]] = {}
         self.seen: set[str] = set()
-        self.approx_bytes = 0
         self.run_paths: list[str] = []
+        # postings per merge batch: a quarter of the budget holds its temporaries
+        if budget_bytes is None:
+            self.batch = _MAX_BATCH
+        else:
+            self.batch = min(_MAX_BATCH, max(_MIN_BATCH, budget_bytes // 4 // _BATCH_COST))
+        self._reset()
+
+    def _reset(self) -> None:
+        self.term_ids = _TermIds()
+        self.tids = array("i")
+        self.tfs = array("i")
+        self.ends = array("q")
+        self.first_doc = len(self.docids)
+
+    def nbytes(self) -> int:
+        """What the budget counts: the columns as allocated, the term map,
+        the analyzer memo and the temporaries of one merge batch."""
+        return (
+            sys.getsizeof(self.tids)
+            + sys.getsizeof(self.tfs)
+            + sys.getsizeof(self.ends)
+            + self.term_ids.nbytes()
+            + memo_bytes(self.cfg)
+            + self.batch * _BATCH_COST
+        )
 
     def add_all(self, docs) -> None:
         for doc in docs:
@@ -370,100 +622,64 @@ class _Builder:
         if doc.docid in self.seen:
             raise CorpusError("duplicate docid", docid=doc.docid)
         self.seen.add(doc.docid)
-        iid = len(self.docids)
         self.docids.append(doc.docid)
         self.text_bytes += len(doc.text.encode("utf-8"))
         counts = Counter(analyze(doc.text, self.cfg))
-        self.lengths.append(sum(counts.values()))
-        postings = self.postings
-        cost = 0
-        for term, tf in counts.items():
-            entry = postings.get(term)
-            if entry is None:
-                entry = postings[term] = (array("i"), array("i"))
-                cost += self._TERM_COST
-            entry[0].append(iid)
-            entry[1].append(tf)
-            cost += self._POSTING_COST
-        self.approx_bytes += cost
-        if self.budget is not None and self.approx_bytes > self.budget:
+        self.lengths.append(counts.total())
+        self.tids += array("i", list(map(self.term_ids.__getitem__, counts)))
+        self.tfs += array("i", list(counts.values()))
+        self.ends.append(len(self.tids))
+        if self.budget is not None and self.nbytes() > self.budget:
             self._spill()
 
+    def _columns(self) -> _Columns:
+        """Hand the rows so far over as a sorted source and start afresh.
+
+        The term-id column is rewritten in place, chunk by chunk, to ranks
+        in the sorted terms (np.bincount of the whole column would copy it
+        to int64).
+        """
+        terms = sorted(self.term_ids)
+        rank = np.empty(len(terms), dtype=np.int32)
+        rank[np.fromiter(map(self.term_ids.__getitem__, terms), np.int64, len(terms))] = np.arange(
+            len(terms), dtype=np.int32
+        )
+        ranks = np.frombuffer(self.tids, dtype=np.int32)
+        dfs = np.zeros(len(terms), dtype=np.int64)
+        step = _CHUNK_PER_BATCH * self.batch
+        for a in range(0, len(ranks), step):
+            chunk = ranks[a : a + step]
+            chunk[:] = rank[chunk]
+            dfs += np.bincount(chunk, minlength=len(terms))
+        columns = _Columns(
+            terms, dfs, ranks, np.frombuffer(self.tfs, dtype=np.int32),
+            np.frombuffer(self.ends, dtype=np.int64), self.first_doc, step,
+        )
+        self._reset()
+        return columns
+
     def _spill(self) -> None:
-        if not self.postings:
+        if not self.tids:
             return
         path = os.path.join(self.spill_dir, f"run{len(self.run_paths):05d}.tmp")
-        log.info("spilling %d terms (~%d MB) to %s", len(self.postings), self.approx_bytes >> 20, path)
+        log.info("spilling %d terms (~%d MB) to %s", len(self.term_ids), self.nbytes() >> 20, path)
         self.run_paths.append(path)
-        _write_run(path, ((term, *self.postings[term]) for term in sorted(self.postings)))
-        self.postings = {}
-        self.approx_bytes = 0
+        _write_run(path, _batches([self._columns()], self.batch))
 
-    def blocks(self):
-        """Merged (term, df, cf, v1 postings block) stream, sorted by term.
+    def batches(self):
+        """(terms, df, cf, nbytes, payload) per batch of whole terms, in term order.
 
-        Spill runs were written in document order, so for any term the
-        segment ids are strictly increasing across runs in merge order.
-        Beyond _MAX_FAN_IN runs, consecutive groups are merged into one run
-        first, which keeps that order.
+        The spill runs, in spill order, and then the rows still in memory are
+        merged. Beyond _MAX_FAN_IN runs, consecutive groups are merged into
+        one run first, which keeps document order.
         """
         runs = self.run_paths
         while len(runs) > _MAX_FAN_IN:
-            runs = [_merge_runs(runs[i : i + _MAX_FAN_IN]) for i in range(0, len(runs), _MAX_FAN_IN)]
-        iters = [_run_segments(p) for p in runs]
-        iters.append(
-            (term, *self.postings[term]) for term in sorted(self.postings)
-        )
-        for term, ids, tfs in _merged(iters):
-            yield term, len(ids), sum(tfs), _encode_postings(ids, tfs)
-
-
-def _merged(iters):
-    """Merge sorted (term, ids, tfs) segment streams, in stream order per term."""
-    merged = heapq.merge(*iters, key=lambda seg: seg[0])
-    for term, group in itertools.groupby(merged, key=lambda seg: seg[0]):
-        pieces = list(group)
-        if len(pieces) == 1:
-            yield pieces[0]
-            continue
-        ids = array("i")
-        tfs = array("i")
-        for _, seg_ids, seg_tfs in pieces:
-            ids.extend(seg_ids)
-            tfs.extend(seg_tfs)
-        yield term, ids, tfs
-
-
-def _write_run(path, segments) -> None:
-    with open(path, "wb") as fh:
-        for term, ids, tfs in segments:
-            raw = term.encode("utf-8")
-            fh.write(_RUN_HEADER.pack(len(raw), len(ids)))
-            fh.write(raw)
-            ids.tofile(fh)
-            tfs.tofile(fh)
-
-
-def _run_segments(path):
-    """Stream a spill run back, one (term, ids, tfs) segment at a time."""
-    with open(path, "rb") as fh:
-        while head := fh.read(_RUN_HEADER.size):
-            nraw, count = _RUN_HEADER.unpack(head)
-            term = fh.read(nraw).decode("utf-8")
-            ids = array("i")
-            ids.fromfile(fh, count)
-            tfs = array("i")
-            tfs.fromfile(fh, count)
-            yield term, ids, tfs
-
-
-def _merge_runs(paths) -> str:
-    """Merge consecutive spill runs into one run file; the inputs are removed."""
-    path = paths[0] + ".merged"
-    _write_run(path, _merged([_run_segments(p) for p in paths]))
-    for p in paths:
-        os.unlink(p)
-    return path
+            runs = [_merge_runs(runs[i : i + _MAX_FAN_IN], self.batch) for i in range(0, len(runs), _MAX_FAN_IN)]
+        with ExitStack() as stack:
+            sources = [stack.enter_context(_Run(p)) for p in runs]
+            sources.append(self._columns())
+            yield from _encoded(_batches(sources, self.batch))
 
 
 def build_index(docs, cfg: AnalyzerConfig) -> Index:
@@ -472,8 +688,9 @@ def build_index(docs, cfg: AnalyzerConfig) -> Index:
     builder.add_all(docs)
     lexicon = {}
     payload = bytearray()
-    for term, df, cf, block in builder.blocks():
-        lexicon[term] = (df, cf, len(payload), len(block))
+    for terms, df, cf, nbytes, block in builder.batches():
+        offsets = len(payload) + np.cumsum(nbytes) - nbytes
+        lexicon.update(zip(terms, zip(df.tolist(), cf.tolist(), offsets.tolist(), nbytes.tolist())))
         payload += block
     return Index(cfg, DocTable(builder.docids, builder.lengths), lexicon, bytes(payload))
 
@@ -490,7 +707,7 @@ def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: i
     with tempfile.TemporaryDirectory(prefix=".build.", dir=directory) as spill_dir:
         builder = _Builder(cfg, budget_bytes=memory_budget_mb << 20, spill_dir=spill_dir)
         builder.add_all(docs)
-        vocabulary = _write_index(directory, cfg, builder.docids, builder.lengths, builder.blocks())
+        vocabulary = _write_index(directory, cfg, builder.docids, builder.lengths, builder.batches())
     return CorpusStats(
         num_documents=len(builder.docids),
         vocabulary_size=vocabulary,

@@ -54,23 +54,44 @@ def writing(out):
         yield out
 
 
-# single-byte fast path covers the vast majority of gaps and tfs
-_ONE_BYTE = [bytes([i]) for i in range(0x80)]
+def varint_widths(values) -> np.ndarray:
+    """Encoded byte count of each value: one test over all of them, then
+    one per further byte over the values still wider."""
+    values = np.asarray(values, dtype=np.int64)
+    widths = (values >= 0x80).astype(np.int64) + 1
+    wide = np.flatnonzero(values >= 1 << 14)
+    groups = values[wide] >> 14
+    while wide.size:
+        widths[wide] += 1
+        more = groups >= 0x80
+        wide, groups = wide[more], groups[more] >> 7
+    return widths
 
 
 def encode_varints(values) -> bytes:
-    buf = bytearray()
-    append = buf.append
-    one = _ONE_BYTE
-    for v in values:
-        if v < 0x80:
-            buf += one[v]
-        else:
-            while v >= 0x80:
-                append(0x80 | (v & 0x7F))
-                v >>= 7
-            append(v)
-    return bytes(buf)
+    """Varints of non-negative int64 values, back to back: 7 bits per byte,
+    low group first, the high bit set on every byte but a value's last.
+
+    Widths come first; then each byte position is one masked store over the
+    values that are at least that wide.
+    """
+    group = np.asarray(values, dtype=np.int64)
+    if group.size and group.min() < 0:
+        raise ValueError("varints encode non-negative values only")
+    widths = varint_widths(group)
+    if not group.size or widths.max() == 1:
+        return group.astype(np.uint8).tobytes()
+    ends = np.cumsum(widths)
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    at = ends - widths
+    while True:
+        more = widths > 1
+        out[at] = (group & 0x7F) | (more << 7)
+        if not more.any():
+            return out.tobytes()
+        group = group[more] >> 7
+        at = at[more] + 1
+        widths = widths[more] - 1
 
 
 def read_varint(data, pos: int) -> tuple[int, int]:

@@ -1,5 +1,7 @@
 import io
+import random
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,10 @@ from girit.analysis import (
     normalize,
     tokenize,
 )
+import girit.analysis
+from girit.corpus import RawDocument
+from girit.index import build_index_to_dir
+from girit.synth import synth_corpus
 
 
 def token_chars_ok(token: str) -> bool:
@@ -177,3 +183,36 @@ class TestStopwordLoading:
 @pytest.mark.parametrize("text", ["tv and television", "ગુજરાત સમાચાર", ""])
 def test_analyze_deterministic(text, cfg):
     assert analyze(text, cfg) == analyze(text, cfg)
+
+
+class TestMemo:
+    """analyze keeps one memo per configuration for the life of the process."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self, monkeypatch):
+        monkeypatch.setattr(girit.analysis, "_MEMOS", {}, raising=False)
+
+    def test_a_build_normalizes_each_raw_token_once(self, monkeypatch, tmp_path):
+        calls = Counter()
+        normalize_once = girit.analysis.normalize
+
+        def counted(token, cfg):
+            calls[token] += 1
+            return normalize_once(token, cfg)
+
+        monkeypatch.setattr(girit.analysis, "normalize", counted)
+        docs = synth_corpus(random.Random(3), 300, vocab_size=500)
+        docs.append(RawDocument("cased", "Alpha ALPHA alpha Ｆｕｌｌ"))
+        # a spill per document: the memo outlives every spill
+        build_index_to_dir(docs, AnalyzerConfig(), tmp_path / "idx", memory_budget_mb=0)
+        assert calls == Counter({t: 1 for doc in docs for t in tokenize(doc.text)})
+
+    def test_memos_of_different_configurations_never_mix(self):
+        text = "The Cat saw THE cat and a Dog"
+        plain = AnalyzerConfig()
+        cased = AnalyzerConfig(lowercase_latin=False, stopword_list=frozenset({"The", "a"}))
+        stopped = AnalyzerConfig(stopword_list=frozenset({"the", "a"}))
+        for _ in range(2):  # the second round is served from the memos
+            assert analyze(text, plain) == ["the", "cat", "saw", "the", "cat", "and", "a", "dog"]
+            assert analyze(text, cased) == ["Cat", "saw", "THE", "cat", "and", "Dog"]
+            assert analyze(text, stopped) == ["cat", "saw", "cat", "and", "dog"]

@@ -131,6 +131,33 @@ class TestIndexCommand:
         ]
         assert Index.load(tmp_path / "idx").doc_table.docids == ["a1", "b1", "b2"]
 
+    @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+    def test_docid_repeated_in_a_later_file_is_named_by_file_and_position(
+        self, tmp_path, caplog, capsys, lenient
+    ):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "a.trec").write_text("<DOC><DOCNO>x</DOCNO><TEXT>alpha</TEXT></DOC>\n", encoding="utf-8")
+        (corpus_dir / "b.trec").write_text(
+            "<DOC><DOCNO>b1</DOCNO><TEXT>beta</TEXT></DOC>\n"
+            "<DOC><DOCNO>x</DOCNO><TEXT>again</TEXT></DOC>\n",
+            encoding="utf-8",
+        )
+        where = f"{corpus_dir / 'b.trec'}: "
+        problem = "<DOC> #2: duplicate docid | docid='x'"
+        flags = ["--lenient"] if lenient else []
+        with caplog.at_level(logging.WARNING, logger="girit.corpus"):
+            code = run_cli("index", *flags, "--corpus", corpus_dir, "--index-dir", tmp_path / "idx")
+        if not lenient:
+            assert code == 2
+            assert f"error: {where}{problem}" in capsys.readouterr().err
+            return
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "girit.corpus"] == [
+            f"{where}skipping malformed document: {problem}"
+        ]
+        assert Index.load(tmp_path / "idx").doc_table.docids == ["x", "b1"]
+
 
 @pytest.fixture(scope="module")
 def workspace(fixture_dir, tmp_path_factory):

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import girit.analysis
 import girit.index
 from girit.analysis import AnalyzerConfig, analyze
 from girit.corpus import RawDocument, corpus_stats
@@ -158,14 +160,14 @@ class TestPersistence:
         docs = synth_corpus(random.Random(9), 60, vocab_size=100)
         build_index(docs, cfg).persist(tmp_path / "mem")
         opened = []
-        segments = girit.index._run_segments
+        run = girit.index._Run
 
         def counted(path):
             opened.append(path)
-            return segments(path)
+            return run(path)
 
         monkeypatch.setattr(girit.index, "_MAX_FAN_IN", 4)
-        monkeypatch.setattr(girit.index, "_run_segments", counted)
+        monkeypatch.setattr(girit.index, "_Run", counted)
         # a spill run per document: 60 runs merge into 15, those into 4, then the final merge
         build_index_to_dir(docs, cfg, tmp_path / "spill", memory_budget_mb=0)
         assert _dir_bytes(tmp_path / "mem") == _dir_bytes(tmp_path / "spill")
@@ -229,16 +231,17 @@ class TestCrashSafety:
     def test_interrupted_rebuild_does_not_load(self, cfg, tmp_path, monkeypatch):
         directory = tmp_path / "idx"
         build_index_to_dir(synth_corpus(random.Random(1), 80), cfg, directory)
-        encode = girit.index._encode_postings
+        encode = girit.index.encode_varints
         calls = []
 
-        def interrupted(ids, tfs):
+        def interrupted(values):
+            # the doctable, then a batch's postings; the next call is mid-write
             calls.append(1)
-            if len(calls) > 10:
+            if len(calls) > 2:
                 raise KeyboardInterrupt
-            return encode(ids, tfs)
+            return encode(values)
 
-        monkeypatch.setattr(girit.index, "_encode_postings", interrupted)
+        monkeypatch.setattr(girit.index, "encode_varints", interrupted)
         # same document count, different content; zero budget leaves spill runs to clean up
         with pytest.raises(KeyboardInterrupt):
             build_index_to_dir(synth_corpus(random.Random(2), 80), cfg, directory, memory_budget_mb=0)
@@ -246,3 +249,20 @@ class TestCrashSafety:
             Index.load(directory)
         assert not list(directory.rglob("*.tmp"))
         assert {f.name for f in directory.iterdir()} == {DOCTABLE_FILE, LEXICON_FILE, POSTINGS_FILE}
+
+
+class TestBudget:
+    def test_traced_peak_stays_within_the_budget(self, cfg, tmp_path, monkeypatch):
+        """A build at 1 MiB peaks, as tracemalloc sees it, under the budget
+        plus 256 KiB: the per-document state the budget does not count
+        (docids, the seen set, lengths) and the doctable written at the end,
+        for these 1500 documents. The build spills several runs."""
+        monkeypatch.setattr(girit.analysis, "_MEMOS", {}, raising=False)
+        docs = synth_corpus(random.Random(7), 1500, vocab_size=3000, doc_len=(100, 300))
+        tracemalloc.start()
+        try:
+            build_index_to_dir(docs, cfg, tmp_path / "idx", memory_budget_mb=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << 20) + (256 << 10)
