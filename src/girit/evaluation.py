@@ -96,26 +96,79 @@ def parse_qrels(source) -> QrelSet:
 
 def parse_run(source) -> dict[str, RankedList]:
     """Parse a 6-column run file (a named input, see `util.reading`) back into
-    per-query ranked lists."""
-    runs: dict[str, RankedList] = {}
+    per-query ranked lists.
+
+    A plainly regular text is parsed in bulk (`_parse_regular_run`); anything
+    else goes through the line loop, which gives every error its line number.
+    """
     with reading(source) as fh:
-        for lineno, line in enumerate(read_text(fh).splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise RunFileError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-            qid, _q0, docid, rank_s, score_s, _tag = parts
-            try:
-                rank_ = int(rank_s)
-                score = float(score_s)
-            except ValueError:
-                raise RunFileError(f"line {lineno}: bad rank/score") from None
-            rl = runs.setdefault(qid, RankedList(qid=qid))
-            expected = len(rl.entries) + 1
-            if rank_ != expected:
-                raise RunFileError(f"line {lineno}: rank {rank_} out of order (expected {expected})")
-            rl.entries.append((docid, rank_, score))
+        text = read_text(fh)
+        runs = _parse_regular_run(text)
+        return runs if runs is not None else _parse_run_lines(text)
+
+
+# the ASCII bytes other than those str.split() and str.splitlines() break on
+_NOT_WHITESPACE = bytes(c for c in range(128) if not chr(c).isspace())
+
+
+def _parse_regular_run(text: str) -> dict[str, RankedList] | None:
+    """One split and strided columns, or None unless the text is ASCII and
+    every line is six fields and one space between each, each qid's lines are
+    contiguous and ranked "1".."n", and every score is a float. The result is
+    what `_parse_run_lines` gives for such a text."""
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    lines = text.count("\n")
+    # whitespace is exactly five spaces and a newline per line ...
+    if text.encode("ascii").translate(None, _NOT_WHITESPACE) != b"     \n" * lines:
+        return None
+    tokens = text.split()
+    # ... and no field is empty
+    if len(tokens) != 6 * lines:
+        return None
+    qids, docids, ranks, score_tokens = tokens[0::6], tokens[2::6], tokens[3::6], tokens[4::6]
+    del tokens
+    try:
+        scores = list(map(float, score_tokens))
+    except ValueError:
+        return None
+    runs: dict[str, RankedList] = {}
+    rank_tokens: list[str] = []
+    start = 0
+    while start < lines:
+        try:
+            end = ranks.index("1", start + 1)
+        except ValueError:
+            end = lines
+        qid, n = qids[start], end - start
+        if len(rank_tokens) < n:
+            rank_tokens = list(map(str, range(1, n + 1)))
+        if qid in runs or qids[start:end].count(qid) != n or ranks[start:end] != rank_tokens[:n]:
+            return None
+        runs[qid] = RankedList(qid=qid, entries=list(zip(docids[start:end], range(1, n + 1), scores[start:end])))
+        start = end
+    return runs
+
+
+def _parse_run_lines(text: str) -> dict[str, RankedList]:
+    runs: dict[str, RankedList] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise RunFileError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+        qid, _q0, docid, rank_s, score_s, _tag = parts
+        try:
+            rank_ = int(rank_s)
+            score = float(score_s)
+        except ValueError:
+            raise RunFileError(f"line {lineno}: bad rank/score") from None
+        rl = runs.setdefault(qid, RankedList(qid=qid))
+        expected = len(rl.entries) + 1
+        if rank_ != expected:
+            raise RunFileError(f"line {lineno}: rank {rank_} out of order (expected {expected})")
+        rl.entries.append((docid, rank_, score))
     return runs
 
 
@@ -214,10 +267,10 @@ def evaluate_run(
             log.warning("qid %s has no relevant documents; excluded from averages", qid)
             continue
         ranked = run.get(qid)
-        docids = ranked.docids()[:cutoff] if ranked is not None else []
+        entries = ranked.entries[:cutoff] if ranked is not None else []
         rel_ret = 0
         ap_sum = 0.0
-        for i, docid in enumerate(docids):
+        for i, (docid, _, _) in enumerate(entries):
             if docid in relevant:
                 rel_ret += 1
                 ap_sum += rel_ret / (i + 1)

@@ -586,6 +586,7 @@ class _Builder:
         self.text_bytes = 0
         self.seen: set[str] = set()
         self.run_paths: list[str] = []
+        self.below_fixed = False  # warned that the fixed share exceeds the budget
         # postings per merge batch: a quarter of the budget holds its temporaries
         if budget_bytes is None:
             self.batch = _MAX_BATCH
@@ -600,16 +601,20 @@ class _Builder:
         self.ends = array("q")
         self.first_doc = len(self.docids)
 
+    def fixed_bytes(self) -> int:
+        """The share of the budget no spill frees: the analyzer memo and the
+        temporaries of one merge batch."""
+        return memo_bytes(self.cfg) + self.batch * _BATCH_COST
+
     def nbytes(self) -> int:
-        """What the budget counts: the columns as allocated, the term map,
-        the analyzer memo and the temporaries of one merge batch."""
+        """What the budget counts: the columns as allocated, the term map
+        and the fixed share."""
         return (
             sys.getsizeof(self.tids)
             + sys.getsizeof(self.tfs)
             + sys.getsizeof(self.ends)
             + self.term_ids.nbytes()
-            + memo_bytes(self.cfg)
-            + self.batch * _BATCH_COST
+            + self.fixed_bytes()
         )
 
     def add_all(self, docs) -> None:
@@ -661,6 +666,14 @@ class _Builder:
     def _spill(self) -> None:
         if not self.tids:
             return
+        fixed = self.fixed_bytes()
+        if fixed > self.budget and not self.below_fixed:
+            self.below_fixed = True
+            log.warning(
+                "memory budget of %d KiB is below its fixed share of %d KiB "
+                "(the analyzer memo and one merge batch): every document spills",
+                self.budget >> 10, -(-fixed >> 10),
+            )
         path = os.path.join(self.spill_dir, f"run{len(self.run_paths):05d}.tmp")
         log.info("spilling %d terms (~%d MB) to %s", len(self.term_ids), self.nbytes() >> 20, path)
         self.run_paths.append(path)

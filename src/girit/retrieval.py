@@ -15,6 +15,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -328,11 +329,16 @@ def format_run_line(qid: str, docid: str, rank_: int, score: float, tag: str) ->
 
 def write_run(ranked_lists, tag: str, out) -> int:
     """Write standard 6-column run lines to a path or an open text file (see
-    `util.writing`); returns the number of lines."""
+    `util.writing`); returns the number of lines.
+
+    Each ranked list is one `%` format of its `format_run_line` lines and one
+    write; the whole run is never built as one string.
+    """
     n = 0
+    tag = tag.replace("%", "%%")
     with writing(out) as fh:
         for rl in ranked_lists:
-            for docid, rank_, score in rl.entries:
-                fh.write(format_run_line(rl.qid, docid, rank_, score, tag) + "\n")
-                n += 1
+            line = rl.qid.replace("%", "%%") + " Q0 %s %d %.6f " + tag + "\n"
+            fh.write(line * len(rl.entries) % tuple(chain.from_iterable(rl.entries)))
+            n += len(rl.entries)
     return n

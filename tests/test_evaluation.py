@@ -2,6 +2,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girit.errors import QrelsError, RunFileError
 from girit.evaluation import (
@@ -16,6 +18,7 @@ from girit.evaluation import (
     parse_run,
     read_eval_summary,
 )
+from girit.evaluation import _parse_regular_run, _parse_run_lines
 from girit.models import MODEL_IDS
 from girit.retrieval import RankedList
 
@@ -169,6 +172,153 @@ class TestRunParser:
     def test_bad_score_rejected(self):
         with pytest.raises(RunFileError, match="bad rank/score"):
             parse_run(io.StringIO("q1 Q0 d1 1 xyz t\n"))
+
+
+def _outcome(parse, text):
+    """What a parser makes of `text`: its lists as (qid, entries repr), or
+    its RunFileError message (repr keeps a NaN score comparable)."""
+    try:
+        runs = parse(text)
+    except RunFileError as exc:
+        return ("error", str(exc))
+    return ("runs", [(qid, rl.qid, repr(rl.entries)) for qid, rl in runs.items()])
+
+
+def _parse_bytes(text):
+    return parse_run(io.BytesIO(text.encode("utf-8")))
+
+
+_DOCIDS = st.text(alphabet="abcXYZ0189-_.%", min_size=1, max_size=8)
+_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.6f}"),
+    st.sampled_from(["-0.000000", "1e5", "nan", "1e999"]),
+)
+
+
+def _render(lines, end="\n"):
+    return "".join(" ".join(fields) + end for fields in lines)
+
+
+@st.composite
+def _regular_runs(draw):
+    """Lines of a run file as `write_run` writes them: each qid once, its
+    lines contiguous and ranked 1..n."""
+    lines = []
+    for qid in draw(st.lists(st.sampled_from(["q1", "q2", "301", "q%s", "Q0"]), unique=True, max_size=4)):
+        for r in range(1, draw(st.integers(1, 4)) + 1):
+            lines.append([qid, "Q0", draw(_DOCIDS), str(r), draw(_SCORES), "girit"])
+    return lines
+
+
+def _edit_field(i, value):
+    def edit(fields):
+        if len(fields) > i:
+            fields[i] = value(fields[i])
+    return edit
+
+
+def _separate(sep):
+    def edit(fields):
+        fields[:2] = [sep.join(fields[:2])]
+    return edit
+
+
+# each edit makes one line irregular; the line loop accepts some of them
+_LINE_EDITS = {
+    "tab": _separate("\t"),
+    "unit separator": _separate("\x1f"),
+    "double space": _separate("  "),
+    "zero-padded rank": _edit_field(3, lambda r: "0" + r),
+    "signed rank": _edit_field(3, lambda r: "+" + r),
+    "skipped rank": _edit_field(3, lambda r: r + "0"),
+    "non-ASCII docid": _edit_field(2, lambda d: "d\u00e9" + d),
+    "bad score": _edit_field(4, lambda s: s + "x"),
+    "missing field": lambda f: f.pop() if len(f) > 1 else None,
+    "extra field": lambda f: f.append("x"),
+}
+def _qid_comes_back(lines, i):
+    """One more line for the qid of line i, ranked next and put last: the
+    line loop accepts it wherever that qid's other lines are."""
+    if lines and lines[i]:
+        qid = lines[i][0]
+        rank = sum(fields[:1] == [qid] for fields in lines) + 1
+        lines.append([qid, "Q0", "dx", str(rank), "1.000000", "girit"])
+
+
+_TEXT_EDITS = {
+    "blank line": lambda lines, i: lines.insert(i, []),
+    "spaces line": lambda lines, i: lines.insert(i, ["", ""]),
+    "qid comes back": _qid_comes_back,
+    "line repeated last": lambda lines, i: lines.append(list(lines[i])) if lines else None,
+}
+
+
+@st.composite
+def _irregular_texts(draw):
+    lines = draw(_regular_runs())
+    for name in draw(st.lists(st.sampled_from(sorted(_LINE_EDITS) + sorted(_TEXT_EDITS)), max_size=3)):
+        i = draw(st.integers(0, max(0, len(lines) - 1)))
+        if name in _TEXT_EDITS:
+            _TEXT_EDITS[name](lines, i)
+        elif lines:
+            _LINE_EDITS[name](lines[i])
+    text = _render(lines, end=draw(st.sampled_from(["\n", "\r\n", "\x1c", "\u2028"])))
+    if draw(st.booleans()):
+        text = text[:-1]  # no final line end
+    return text
+
+
+class TestBulkRunParser:
+    """`parse_run` parses a regular text in bulk and anything else line by
+    line; both give the line loop's lists, or its error."""
+
+    @settings(max_examples=300)
+    @given(_regular_runs())
+    def test_regular_text_takes_the_bulk_path(self, lines):
+        text = _render(lines)
+        if lines:
+            assert _parse_regular_run(text) is not None
+        assert _outcome(_parse_bytes, text) == _outcome(_parse_run_lines, text)
+
+    @settings(max_examples=500)
+    @given(_irregular_texts())
+    def test_any_text_parses_as_the_line_loop_does(self, text):
+        assert _outcome(_parse_bytes, text) == _outcome(_parse_run_lines, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "q1\tQ0 d1 1 1.0 t\n",
+            "q1 Q0  d1 1 1.0 t\n",
+            " q1 Q0 d1 1 1.0 t\n",
+            "q1 Q0 d1 01 1.0 t\n",
+            "q1 Q0 d1 1 1.0 t\n\nq1 Q0 d2 2 0.5 t\n",
+            "q1 Q0 d1 1 1.0 t\r\n",
+            "q1 Q0 d1 1 1.0 t",
+            "q1 Q0 d\u00e9 1 1.0 t\n",
+            "q1 Q0 d1 1 1.0 t\nq2 Q0 d2 1 1.0 t\nq1 Q0 d3 2 0.5 t\n",
+            "q1 Q0 d1 1 1.0 t\nq2 Q0 d2 1 1.0 t\nq1 Q0 d3 1 0.5 t\n",
+            "q1 Q0 d1 1 1.0 t\nq1 Q0 d2 3 0.5 t\n",
+            "q1 Q0 d1 1 xyz t\n",
+            "q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 0.5\n",
+            "q1  Q0 d1 1 1.0\n",
+            "",
+        ],
+        ids=[
+            "tab", "double-space", "leading-space", "zero-padded-rank", "blank-line", "crlf",
+            "no-final-newline", "non-ascii-docid", "qid-comes-back", "qid-restarts", "skipped-rank", "bad-score",
+            "five-fields", "five-fields-five-spaces", "empty",
+        ],
+    )
+    def test_irregular_text_takes_the_line_loop(self, text):
+        assert _parse_regular_run(text) is None
+        assert _outcome(_parse_bytes, text) == _outcome(_parse_run_lines, text)
+
+    def test_error_names_the_path_and_line(self, tmp_path):
+        path = tmp_path / "girit.BM25.run"
+        path.write_text("q1 Q0 d1 1 1.0 t\nq1 Q0 d2 3 0.5 t\n", encoding="utf-8")
+        with pytest.raises(RunFileError, match=r"girit\.BM25\.run: line 2: rank 3 out of order \(expected 2\)"):
+            parse_run(path)
 
 
 class TestPercentageFormatter:

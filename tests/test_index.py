@@ -1,4 +1,6 @@
+import logging
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -266,3 +268,22 @@ class TestBudget:
         finally:
             tracemalloc.stop()
         assert peak <= (1 << 20) + (256 << 10)
+
+    @pytest.mark.parametrize("budget_mb", [0, 1])
+    def test_a_budget_below_the_fixed_share_warns_once(self, cfg, tmp_path, caplog, monkeypatch, budget_mb):
+        """At budget 0 the memo and one merge batch already exceed the budget,
+        so every document spills: the build still completes and warns once,
+        naming the budget and the fixed share. At 1 MiB nothing is said."""
+        monkeypatch.setattr(girit.analysis, "_MEMOS", {}, raising=False)
+        with caplog.at_level(logging.WARNING, logger="girit.index"):
+            build_index_to_dir(synth_corpus(random.Random(3), 40), cfg, tmp_path / "idx", memory_budget_mb=budget_mb)
+        messages = [r.getMessage() for r in caplog.records if r.name == "girit.index"]
+        if budget_mb:
+            assert messages == []
+        else:
+            assert len(messages) == 1
+            assert re.fullmatch(
+                r"memory budget of 0 KiB is below its fixed share of \d+ KiB "
+                r"\(the analyzer memo and one merge batch\): every document spills",
+                messages[0],
+            )

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import girit.retrieval as retrieval
 from girit.analysis import AnalyzerConfig, analyze
@@ -332,6 +334,28 @@ class TestRunFiles:
         buf = io.StringIO()
         assert write_run([RankedList(qid="q1")], "tag", buf) == 0
         assert buf.getvalue() == ""
+
+    @given(
+        st.lists(
+            st.builds(
+                lambda qid, docids, scores: RankedList(
+                    qid=qid, entries=[(d, r, s) for r, (d, s) in enumerate(zip(docids, scores), start=1)]
+                ),
+                st.text(alphabet="q1%sd\u00e9", min_size=1, max_size=4),
+                st.lists(st.text(alphabet="d7%-\u00e9", min_size=1, max_size=5), max_size=6),
+                st.lists(st.floats(), min_size=6, max_size=6),
+            ),
+            max_size=4,
+        ),
+        st.text(alphabet="girt%sd", min_size=1, max_size=5),
+    )
+    @example([RankedList(qid="q%d", entries=[("d%s", 1, -0.0), ("d2", 2, 1e300), ("d3", 3, -1e20)])], "t%%")
+    def test_write_run_is_format_run_line_per_line(self, lists, tag):
+        buf = io.StringIO()
+        n = write_run(lists, tag, buf)
+        lines = [format_run_line(rl.qid, d, r, s, tag) + "\n" for rl in lists for d, r, s in rl.entries]
+        assert n == len(lines)
+        assert buf.getvalue() == "".join(lines)
 
     def test_round_trip_through_run_parser(self, cfg, rng):
         docs = synth_corpus(rng, 80)
