@@ -40,10 +40,10 @@ from .corpus import CorpusStats, RawDocument
 from .errors import CorpusError, EmptyCollectionError, IndexStoreError
 from .util import (
     CHECKSUM_BYTES,
+    MAX_VARINT_BYTES,
     decode_varints,
     encode_varints,
     read_checksummed,
-    read_varint,
     varint_widths,
     write_checksummed,
 )
@@ -138,17 +138,19 @@ class DocTable:
 class Index:
     """Immutable term -> postings map plus the statistics scoring needs."""
 
-    def __init__(self, cfg: AnalyzerConfig, doc_table: DocTable, lexicon, postings: bytes):
+    def __init__(self, cfg: AnalyzerConfig, doc_table: DocTable, terms: list[str], table, postings: bytes):
         self.cfg = cfg
         self.doc_table = doc_table
-        # lexicon: term -> (df, cf, offset, nbytes) into the v1 postings payload
-        self._lexicon = lexicon
+        # lexicon: term -> row of `table`, whose (V, 4) int64 rows are df, cf,
+        # offset and nbytes into the v1 postings payload
+        self._lexicon = dict(zip(terms, range(len(terms))))
+        self._table = table
         self._buf = postings
         total = int(self.doc_table.lengths.sum()) if len(doc_table) else 0
         self.stats = CollectionStats(
             num_docs=len(doc_table),
             total_tokens=total,
-            vocabulary_size=len(lexicon),
+            vocabulary_size=len(self._lexicon),
         )
 
     @property
@@ -162,20 +164,21 @@ class Index:
         return term in self._lexicon
 
     def term_stats(self, term: str) -> tuple[int, int] | None:
-        entry = self._lexicon.get(term)
-        if entry is None:
+        row = self._lexicon.get(term)
+        if row is None:
             return None
-        return entry[0], entry[1]
+        df, cf = self._table[row, :2].tolist()
+        return df, cf
 
     def lookup(self, term: str) -> PostingList | None:
         """Exact-match lookup on a normalized term; None when unseen.
 
         Decodes the term's postings block on every call; nothing is cached.
         """
-        entry = self._lexicon.get(term)
-        if entry is None:
+        row = self._lexicon.get(term)
+        if row is None:
             return None
-        df, _cf, offset, nbytes = entry
+        df, _cf, offset, nbytes = self._table[row].tolist()
         pairs = decode_varints(self._buf, offset, 2 * df, nbytes).reshape(df, 2)
         return PostingList(term, np.cumsum(pairs[:, 0]), pairs[:, 1])
 
@@ -184,8 +187,7 @@ class Index:
     def persist(self, directory) -> None:
         """Write the versioned on-disk format; deterministic for equal content."""
         terms = sorted(self._lexicon)
-        entries = np.array([self._lexicon[t] for t in terms], dtype=np.int64).reshape(-1, 4)
-        df, cf, offsets, nbytes = entries.T
+        df, cf, offsets, nbytes = self._table[[self._lexicon[t] for t in terms]].T
         buf = memoryview(self._buf)
         payload = b"".join(buf[o : o + n] for o, n in zip(offsets.tolist(), nbytes.tolist()))
         batches = [(terms, df, cf, nbytes, payload)] if terms else []
@@ -195,41 +197,189 @@ class Index:
     def load(cls, directory) -> "Index":
         header = _read_header(directory)
         cfg = _config_from_header(header)
-        doc_payload = read_checksummed(os.path.join(directory, DOCTABLE_FILE))
-        docids: list[str] = []
-        lengths = array("q")
-        pos = 0
-        end = len(doc_payload)
-        while pos < end:
-            n, pos = read_varint(doc_payload, pos)
-            docids.append(doc_payload[pos : pos + n].decode("utf-8"))
-            pos += n
-            dl, pos = read_varint(doc_payload, pos)
-            lengths.append(dl)
+        path = os.path.join(directory, DOCTABLE_FILE)
+        docids, lengths = _read_records(path, read_checksummed(path), 1)
         if len(docids) != header["num_documents"]:
             raise IndexStoreError(f"{directory}: document table does not match header")
 
-        lex_payload = read_checksummed(os.path.join(directory, LEXICON_FILE))
-        lexicon: dict[str, tuple[int, int, int, int]] = {}
-        pos = 0
-        end = len(lex_payload)
-        while pos < end:
-            n, pos = read_varint(lex_payload, pos)
-            term = lex_payload[pos : pos + n].decode("utf-8")
-            pos += n
-            df, pos = read_varint(lex_payload, pos)
-            cf, pos = read_varint(lex_payload, pos)
-            offset, pos = read_varint(lex_payload, pos)
-            nbytes, pos = read_varint(lex_payload, pos)
-            lexicon[term] = (df, cf, offset, nbytes)
-        if len(lexicon) != header["vocabulary_size"]:
+        path = os.path.join(directory, LEXICON_FILE)
+        terms, table = _read_records(path, read_checksummed(path), 4)
+        if len(terms) != header["vocabulary_size"]:
             raise IndexStoreError(f"{directory}: lexicon does not match header")
 
         postings_buf = read_checksummed(os.path.join(directory, POSTINGS_FILE))
-        index = cls(cfg, DocTable(docids, lengths), lexicon, postings_buf)
+        index = cls(cfg, DocTable(docids, lengths[:, 0]), terms, table, postings_buf)
         if index.stats.total_tokens != header["total_tokens"]:
             raise IndexStoreError(f"{directory}: token count does not match header")
         return index
+
+
+# candidate records, or payload bytes, a step of _read_records handles at a time
+_LOAD_CHUNK = 1 << 14
+# a chunk of candidate records counts the terminators in its own bytes and
+# this many more; a string that ends past them is skipped by a search
+_LOAD_REACH = 1 << 12
+
+
+def _varints(data: np.ndarray, first: np.ndarray, last: np.ndarray):
+    """(values, widths) of the varints at data[first:last + 1], where `last`
+    is each one's terminator.
+
+    A value is its 7-bit groups folded from the terminator down; only the
+    last 9 bytes are read, so a wider varint gets its true width and a wrong
+    value.
+    """
+    widths = last - first + 1
+    values = data[last].astype(np.int64)
+    wide = np.flatnonzero(widths > 1)
+    for k in range(1, MAX_VARINT_BYTES):
+        if not wide.size:
+            break
+        values[wide] = values[wide] << 7 | data[last[wide] - k] & 0x7F
+        wide = wide[widths[wide] > k + 1]
+    return values, widths
+
+
+def _after(ends: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The byte after terminator idx - 1 for each of `idx`, 0 for idx 0."""
+    return np.where(idx > 0, ends[idx - 1].astype(np.int64) + 1, 0)
+
+
+def _read_records(path, payload: bytes, count: int) -> tuple[list[str], np.ndarray]:
+    """The strings and numbers of a doctable or lexicon payload: per record
+    varint(UTF-8 length), the string, then `count` varints.
+
+    Every byte after a terminator (a byte below 0x80) may start a record.
+    Each candidate's successor comes from whole-array work: skip its length
+    varint, the string and `count` varints. The chain of successors from
+    byte 0 is followed one Python step per record, and only its records are
+    decoded. A record that breaks the format raises IndexStoreError naming
+    `path` and a byte offset.
+    """
+    size = len(payload)
+    data = np.frombuffer(payload, dtype=np.uint8)
+    # byte positions and candidate numbers, which stay below the payload size
+    dtype = np.int32 if size < 1 << 30 else np.int64
+    is_end = data < 0x80
+    ends = np.empty(int(np.count_nonzero(is_end)), dtype=dtype)
+    filled = 0
+    for a in range(0, size, _LOAD_CHUNK):
+        found = np.flatnonzero(is_end[a : a + _LOAD_CHUNK]) + a
+        ends[filled : filled + found.size] = found
+        filled += found.size
+    total = len(ends)
+
+    # candidate i starts after terminator i - 1, so its length varint ends
+    # at terminator i; its successor is the candidate after its last number,
+    # or total + 1 when it has none
+    successor = np.empty(total, dtype=dtype)
+    for a in range(0, total, _LOAD_CHUNK):
+        b = min(total, a + _LOAD_CHUNK)
+        last = ends[a:b].astype(np.int64)
+        first = np.empty_like(last)
+        first[0] = ends[a - 1] + 1 if a else 0
+        first[1:] = last[:-1] + 1
+        length, width = _varints(data, first, last)
+        # where its first number starts; a record needs a byte there
+        stop = last + 1 + np.minimum(length, size)
+        ok = (width <= MAX_VARINT_BYTES) & (stop < size)
+        # the first terminator at or after each stop: counted over the bytes
+        # the chunk's strings can reach, searched for beyond them
+        base = int(first[0])
+        top = min(size, int(last[-1]) + 1 + _LOAD_REACH)
+        before = np.zeros(top - base + 1, dtype=np.int32)
+        np.cumsum(is_end[base:top], dtype=np.int32, out=before[1:])
+        found = a + before[np.minimum(stop, top) - base]
+        far = np.flatnonzero(ok & (stop > top))
+        found[far] = np.searchsorted(ends, stop[far].astype(dtype))
+        successor[a:b] = np.where(ok, np.minimum(found + count, total + 1), total + 1)
+    del is_end
+
+    chain = array("q")
+    append = chain.append
+    step = memoryview(successor)
+    i = 0
+    while i < total:
+        append(i)
+        i = step[i]
+    if i > total:
+        raise _record_error(path, data, ends, chain[-1])
+    tail = int(ends[-1]) + 1 if total else 0
+    if tail != size:
+        raise IndexStoreError(f"{path}: varint at byte offset {tail} has no terminator")
+
+    records = np.frombuffer(chain, dtype=np.int64)
+    # the terminator index of each record's first number
+    at = successor[records].astype(np.int64) - count
+    del step, successor
+    first = ends[records].astype(np.int64) + 1
+    length, _ = _varints(data, _after(ends, records), first - 1)
+    # the first number starts right after the string, each later one after a terminator
+    start = first + length
+    numbers = np.empty((len(records), count), dtype=np.int64)
+    for j in range(count):
+        last = ends[at + j].astype(np.int64)
+        numbers[:, j], widths = _varints(data, start, last)
+        if widths.size and widths.max() > MAX_VARINT_BYTES:
+            wide = int(start[np.argmax(widths)])
+            raise IndexStoreError(f"{path}: varint at byte offset {wide} is longer than {MAX_VARINT_BYTES} bytes")
+        start = last + 1
+    del ends, at, start, last
+    return _strings(path, data, first, length), numbers
+
+
+def _record_error(path, data, ends, i: int) -> IndexStoreError:
+    """Why candidate record `i` has no successor."""
+    idx = np.array([i])
+    first = _after(ends, idx)
+    length, width = _varints(data, first, ends[idx].astype(np.int64))
+    start = int(first[0])
+    if width[0] > MAX_VARINT_BYTES:
+        return IndexStoreError(f"{path}: varint at byte offset {start} is longer than {MAX_VARINT_BYTES} bytes")
+    if int(ends[i]) + 1 + int(length[0]) > len(data):
+        return IndexStoreError(
+            f"{path}: record at byte offset {start}: a string of {int(length[0])} bytes "
+            f"runs past the end of the {len(data)}-byte payload"
+        )
+    return IndexStoreError(f"{path}: record at byte offset {start} is truncated")
+
+
+def _strings(path, data: np.ndarray, first: np.ndarray, length: np.ndarray) -> list[str]:
+    """The UTF-8 strings at data[first:first + length], decoded in one call
+    and cut by character counts: a string's character count is its number
+    of bytes that are not continuation bytes (0b10xxxxxx)."""
+    marks = np.zeros(len(data) + 1, dtype=np.int8)
+    marks[first] += 1
+    marks[first + length] -= 1
+    np.cumsum(marks, dtype=np.int8, out=marks)
+    joined = data[marks[:-1].view(bool)]
+    del marks
+    # a string that starts inside a character would decode as part of the previous one
+    lead = first[length > 0]
+    inside = np.flatnonzero(data[lead] & 0xC0 == 0x80)
+    if inside.size:
+        raise IndexStoreError(f"{path}: string at byte offset {int(lead[inside[0]])} starts with a continuation byte")
+    try:
+        text = joined.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        cuts = np.cumsum(length)
+        j = int(np.searchsorted(cuts, exc.start, side="right"))
+        at = int(first[j] + exc.start - (cuts[j] - length[j]))
+        raise IndexStoreError(
+            f"{path}: string at byte offset {int(first[j])} is not UTF-8: {exc.reason} at byte offset {at}"
+        ) from None
+    chars = length
+    if len(text) != joined.size:
+        # character counts wrap at 256 in the running count; longer strings are counted again
+        counted = np.zeros(joined.size + 1, dtype=np.uint8)
+        starts = joined & 0xC0 != 0x80
+        np.cumsum(starts, dtype=np.uint8, out=counted[1:])
+        cuts = np.cumsum(length)
+        chars = (counted[cuts] - counted[cuts - length]).astype(np.int64)
+        for j in np.flatnonzero(length > 0xFF).tolist():
+            chars[j] = np.count_nonzero(starts[cuts[j] - length[j] : cuts[j]])
+    bounds = np.cumsum(chars).tolist()
+    return [text[a:b] for a, b in zip([0] + bounds, bounds)]
 
 
 def _records(strings: list[str], numbers: np.ndarray) -> bytearray:
@@ -699,13 +849,15 @@ def build_index(docs, cfg: AnalyzerConfig) -> Index:
     """In-memory index over `docs`; deterministic for a fixed input order."""
     builder = _Builder(cfg, budget_bytes=None, spill_dir=None)
     builder.add_all(docs)
-    lexicon = {}
+    terms: list[str] = []
+    rows = []
     payload = bytearray()
-    for terms, df, cf, nbytes, block in builder.batches():
-        offsets = len(payload) + np.cumsum(nbytes) - nbytes
-        lexicon.update(zip(terms, zip(df.tolist(), cf.tolist(), offsets.tolist(), nbytes.tolist())))
+    for batch, df, cf, nbytes, block in builder.batches():
+        terms += batch
+        rows.append(np.column_stack([df, cf, len(payload) + np.cumsum(nbytes) - nbytes, nbytes]))
         payload += block
-    return Index(cfg, DocTable(builder.docids, builder.lengths), lexicon, bytes(payload))
+    table = np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
+    return Index(cfg, DocTable(builder.docids, builder.lengths), terms, table, bytes(payload))
 
 
 def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: int = 512) -> CorpusStats:

@@ -94,21 +94,8 @@ def encode_varints(values) -> bytes:
         widths = widths[more] - 1
 
 
-def read_varint(data, pos: int) -> tuple[int, int]:
-    """Decode one varint from `data` at `pos`; returns (value, next_pos)."""
-    result = 0
-    shift = 0
-    while True:
-        b = data[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if b < 0x80:
-            return result, pos
-        shift += 7
-
-
 # 9 groups of 7 bits hold any int64 value up to 2**63 - 1
-_MAX_VARINT_BYTES = 9
+MAX_VARINT_BYTES = 9
 
 
 def decode_varints(data, offset: int, count: int, nbytes: int) -> np.ndarray:
@@ -134,9 +121,9 @@ def decode_varints(data, offset: int, count: int, nbytes: int) -> np.ndarray:
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     widths = ends - starts + 1
-    if widths.max() > _MAX_VARINT_BYTES:
+    if widths.max() > MAX_VARINT_BYTES:
         at = offset + int(starts[np.argmax(widths)])
-        raise IndexStoreError(f"varint at byte offset {at} is longer than {_MAX_VARINT_BYTES} bytes")
+        raise IndexStoreError(f"varint at byte offset {at} is longer than {MAX_VARINT_BYTES} bytes")
     shifts = 7 * (np.arange(nbytes) - np.repeat(starts, widths))
     groups = (block & 0x7F).astype(np.int64) << shifts
     return np.bitwise_or.reduceat(groups, starts)

@@ -172,7 +172,8 @@ def test_lookup_with_a_wrong_df_raises_instead_of_reading_the_next_term():
     cfg = AnalyzerConfig()
     docs = [RawDocument("d1", "apple banana"), RawDocument("d2", "apple cherry")]
     index = build_index(docs, cfg)
-    df, cf, offset, nbytes = index._lexicon["apple"]
-    index._lexicon["apple"] = (df + 1, cf, offset, nbytes)
+    row = index._lexicon["apple"]
+    offset = int(index._table[row, 2])
+    index._table[row, 0] += 1
     with pytest.raises(IndexStoreError, match=f"byte offset {offset}"):
         index.lookup("apple")

@@ -1,15 +1,21 @@
+import json
 import logging
 import random
 import re
+import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import girit.analysis
 import girit.index
 from girit.analysis import AnalyzerConfig, analyze
+from girit.cli import main
 from girit.corpus import RawDocument, corpus_stats
 from girit.errors import CorpusError, EmptyCollectionError, IndexStoreError
 from girit.index import (
@@ -21,8 +27,9 @@ from girit.index import (
     build_index,
     build_index_to_dir,
 )
+from girit.retrieval import Topic, write_topics
 from girit.synth import synth_corpus
-from girit.util import checksum64
+from girit.util import checksum64, read_checksummed, write_checksummed
 
 
 TWO_DOCS = [RawDocument("d1", "a b"), RawDocument("d2", "a")]
@@ -287,3 +294,166 @@ class TestBudget:
                 r"\(the analyzer memo and one merge batch\): every document spills",
                 messages[0],
             )
+
+
+def _reference_varint(data, pos):
+    result = shift = 0
+    while True:
+        b = data[pos]
+        pos += 1
+        result |= (b & 0x7F) << shift
+        if b < 0x80:
+            return result, pos
+        shift += 7
+
+
+def _reference_records(payload: bytes, count: int) -> list[tuple[int, str, list[int]]]:
+    """(start, string, numbers) per record: the scalar loop `Index.load` ran
+    before it read in bulk, one call per varint."""
+    records = []
+    pos = 0
+    while pos < len(payload):
+        start = pos
+        n, pos = _reference_varint(payload, pos)
+        string = payload[pos : pos + n].decode("utf-8")
+        pos += n
+        numbers = []
+        for _ in range(count):
+            value, pos = _reference_varint(payload, pos)
+            numbers.append(value)
+        records.append((start, string, numbers))
+    return records
+
+
+def _write_dir(directory: Path, docs, lexicon) -> None:
+    """An index directory holding exactly `docs` ((docid, length) pairs) and
+    `lexicon` (term -> (df, cf, offset, nbytes)); postings.bin is empty, so
+    only the tables are real."""
+    girit.index._write_index(directory, AnalyzerConfig(), [d for d, _ in docs], [n for _, n in docs], [])
+    terms = sorted(lexicon)
+    numbers = np.array([lexicon[t] for t in terms], dtype=np.int64).reshape(-1, 4)
+    write_checksummed(directory / LEXICON_FILE, bytes(girit.index._records(terms, numbers)))
+    header = json.loads(read_checksummed(directory / HEADER_FILE))
+    header["vocabulary_size"] = len(terms)
+    write_checksummed(directory / HEADER_FILE, json.dumps(header, sort_keys=True).encode("utf-8"))
+
+
+def _assert_loads_as_the_reference(directory: Path) -> None:
+    index = Index.load(directory)
+    doc_records = _reference_records(read_checksummed(directory / DOCTABLE_FILE), 1)
+    lex_records = _reference_records(read_checksummed(directory / LEXICON_FILE), 4)
+    assert index.doc_table.docids == [s for _, s, _ in doc_records]
+    assert index.doc_table.lengths.tolist() == [n for _, _, (n,) in doc_records]
+    assert list(index.terms()) == [s for _, s, _ in lex_records]
+    assert index._table.tolist() == [n for _, _, n in lex_records]
+    for _, term, (df, cf, _, _) in lex_records:
+        assert index.term_stats(term) == (df, cf)
+
+
+GUJARATI = "ગુજરાતીભાષા"
+INT64_MAX = 2**63 - 1
+# any text; Gujarati words, whose UTF-8 bytes hold no byte below 0x80 for
+# more than 9 bytes; strings of 128 or more bytes, whose lengths take two
+# varint bytes, with newlines in them
+STRINGS = st.one_of(
+    st.text(max_size=12),
+    st.text(st.sampled_from(GUJARATI), min_size=4, max_size=60),
+    st.text(st.sampled_from("ab\n"), min_size=128, max_size=300),
+)
+
+
+class TestLoadMatchesTheScalarReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        docs=st.lists(st.tuples(STRINGS, st.integers(0, 2**40)), min_size=1, max_size=20, unique_by=lambda d: d[0]),
+        lexicon=st.dictionaries(STRINGS, st.tuples(*[st.integers(0, INT64_MAX)] * 4), max_size=20),
+    )
+    @example(docs=[("a\nb", 3), ("c", 0)], lexicon={})
+    @example(docs=[("d1", 1)], lexicon={GUJARATI: (1, 2, 2**40, 3), "b" * 200: (3, 4, INT64_MAX, 1)})
+    def test_tables(self, docs, lexicon):
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_dir(Path(tmp), docs, lexicon)
+            _assert_loads_as_the_reference(Path(tmp))
+
+    @pytest.mark.parametrize("chunk, reach", [(8, 4), (1 << 14, 1 << 12)])
+    def test_chunks_and_strings_past_the_counted_bytes(self, cfg, tmp_path, monkeypatch, chunk, reach):
+        monkeypatch.setattr(girit.index, "_LOAD_CHUNK", chunk)
+        monkeypatch.setattr(girit.index, "_LOAD_REACH", reach)
+        docs = synth_corpus(random.Random(4), 200, vocab_size=300)
+        docs.append(RawDocument("long\n" * 40, f"{'x' * 300} {GUJARATI * 40}"))
+        build_index(docs, cfg).persist(tmp_path / "idx")
+        _assert_loads_as_the_reference(tmp_path / "idx")
+
+    def test_an_all_stopword_corpus_has_an_empty_lexicon(self, tmp_path):
+        cfg = AnalyzerConfig(stopword_list=frozenset({"a", "b"}))
+        build_index(TWO_DOCS, cfg).persist(tmp_path / "idx")
+        assert read_checksummed(tmp_path / "idx" / LEXICON_FILE) == b""
+        loaded = Index.load(tmp_path / "idx")
+        assert list(loaded.terms()) == []
+        assert loaded.lookup("a") is None
+        assert loaded.doc_table.lengths.tolist() == [0, 0]
+
+
+def _record_starts(payload: bytes, count: int) -> list[int]:
+    return [start for start, _, _ in _reference_records(payload, count)]
+
+
+# each damage: (damaged payload, the message after the path), from a valid
+# payload of records with `count` numbers
+DAMAGES = {
+    "truncated record": lambda p, count: (p[:-1], f"record at byte offset {_record_starts(p, count)[-1]} is truncated"),
+    "trailing continuation byte": lambda p, count: (p + b"\x80", f"varint at byte offset {len(p)} has no terminator"),
+    "bad UTF-8": lambda p, count: (
+        p[:1] + b"\xff" + p[2:],
+        "string at byte offset 1 is not UTF-8: invalid start byte at byte offset 1",
+    ),
+    "string past the end": lambda p, count: (
+        p + b"\x05ab",
+        f"record at byte offset {len(p)}: a string of 5 bytes runs past the end of the {len(p) + 3}-byte payload",
+    ),
+    "10-byte number": lambda p, count: (
+        p + b"\x01x" + b"\x80" * 9 + b"\x01" + b"\x00" * (count - 1),
+        f"varint at byte offset {len(p) + 2} is longer than 9 bytes",
+    ),
+    "10-byte length": lambda p, count: (
+        p + b"\x80" * 9 + b"\x01" + b"x" + b"\x00" * count,
+        f"varint at byte offset {len(p)} is longer than 9 bytes",
+    ),
+}
+
+
+class TestMalformedRecords:
+    """A record the format cannot hold, in a file whose checksum is valid,
+    is a data error naming the file and a byte offset."""
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    @pytest.mark.parametrize("victim, count", [(DOCTABLE_FILE, 1), (LEXICON_FILE, 4)])
+    def test_load_raises_and_the_cli_exits_2(self, cfg, tmp_path, capsys, victim, count, damage):
+        build_index(TWO_DOCS, cfg).persist(tmp_path / "idx")
+        path = tmp_path / "idx" / victim
+        payload, detail = DAMAGES[damage](read_checksummed(path), count)
+        write_checksummed(path, payload)
+        with pytest.raises(IndexStoreError) as raised:
+            Index.load(tmp_path / "idx")
+        assert str(raised.value) == f"{path}: {detail}"
+
+        write_topics([Topic("1", "a b")], tmp_path / "topics.txt")
+        code = main([str(a) for a in (
+            "run", "--index-dir", tmp_path / "idx", "--topics", tmp_path / "topics.txt",
+            "--models", "BM25", "--output-dir", tmp_path / "runs",
+        )])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {detail}\n"
+
+    def test_a_string_starting_inside_a_character(self, tmp_path):
+        # "x" and "y" become 0xC3 and 0xA9: the two strings joined decode as
+        # "é", but neither decodes alone
+        _write_dir(tmp_path, [("x", 1), ("y", 1)], {})
+        path = tmp_path / DOCTABLE_FILE
+        payload = bytearray(read_checksummed(path))
+        assert payload == b"\x01x\x01\x01y\x01"
+        payload[1], payload[4] = 0xC3, 0xA9
+        write_checksummed(path, bytes(payload))
+        with pytest.raises(IndexStoreError) as raised:
+            Index.load(tmp_path)
+        assert str(raised.value) == f"{path}: string at byte offset 4 starts with a continuation byte"
