@@ -216,9 +216,6 @@ class Index:
 
 # candidate records, or payload bytes, a step of _read_records handles at a time
 _LOAD_CHUNK = 1 << 14
-# a chunk of candidate records counts the terminators in its own bytes and
-# this many more; a string that ends past them is skipped by a search
-_LOAD_REACH = 1 << 12
 
 
 def _varints(data: np.ndarray, first: np.ndarray, last: np.ndarray):
@@ -260,7 +257,10 @@ def _read_records(path, payload: bytes, count: int) -> tuple[list[str], np.ndarr
     data = np.frombuffer(payload, dtype=np.uint8)
     # byte positions and candidate numbers, which stay below the payload size
     dtype = np.int32 if size < 1 << 30 else np.int64
-    is_end = data < 0x80
+    # 1 at each terminator, in 256-byte blocks padded past the end
+    blocks = np.zeros(((size >> 8) + 1, 256), dtype=np.uint8)
+    is_end = blocks.reshape(-1)
+    is_end[:size] = data < 0x80
     ends = np.empty(int(np.count_nonzero(is_end)), dtype=dtype)
     filled = 0
     for a in range(0, size, _LOAD_CHUNK):
@@ -268,6 +268,15 @@ def _read_records(path, payload: bytes, count: int) -> tuple[list[str], np.ndarr
         ends[filled : filled + found.size] = found
         filled += found.size
     total = len(ends)
+    # the number of terminators before byte p, for any p <= size, is
+    # block_rank[p >> 8] + within[p]: those before p's block and those
+    # before p in it, below 256
+    block_rank = np.zeros(len(blocks), dtype=dtype)
+    np.cumsum(blocks[:-1].sum(axis=1, dtype=dtype), out=block_rank[1:])
+    within = np.zeros_like(blocks)
+    np.cumsum(blocks[:, :-1], axis=1, dtype=np.uint8, out=within[:, 1:])
+    within = within.reshape(-1)
+    del blocks, is_end
 
     # candidate i starts after terminator i - 1, so its length varint ends
     # at terminator i; its successor is the candidate after its last number,
@@ -283,17 +292,11 @@ def _read_records(path, payload: bytes, count: int) -> tuple[list[str], np.ndarr
         # where its first number starts; a record needs a byte there
         stop = last + 1 + np.minimum(length, size)
         ok = (width <= MAX_VARINT_BYTES) & (stop < size)
-        # the first terminator at or after each stop: counted over the bytes
-        # the chunk's strings can reach, searched for beyond them
-        base = int(first[0])
-        top = min(size, int(last[-1]) + 1 + _LOAD_REACH)
-        before = np.zeros(top - base + 1, dtype=np.int32)
-        np.cumsum(is_end[base:top], dtype=np.int32, out=before[1:])
-        found = a + before[np.minimum(stop, top) - base]
-        far = np.flatnonzero(ok & (stop > top))
-        found[far] = np.searchsorted(ends, stop[far].astype(dtype))
+        # the first terminator at or after each stop
+        at = np.minimum(stop, size)
+        found = block_rank[at >> 8] + within[at]
         successor[a:b] = np.where(ok, np.minimum(found + count, total + 1), total + 1)
-    del is_end
+    del block_rank, within
 
     chain = array("q")
     append = chain.append
@@ -325,7 +328,7 @@ def _read_records(path, payload: bytes, count: int) -> tuple[list[str], np.ndarr
             raise IndexStoreError(f"{path}: varint at byte offset {wide} is longer than {MAX_VARINT_BYTES} bytes")
         start = last + 1
     del ends, at, start, last
-    return _strings(path, data, first, length), numbers
+    return _strings(path, payload, first, length), numbers
 
 
 def _record_error(path, data, ends, i: int) -> IndexStoreError:
@@ -344,42 +347,17 @@ def _record_error(path, data, ends, i: int) -> IndexStoreError:
     return IndexStoreError(f"{path}: record at byte offset {start} is truncated")
 
 
-def _strings(path, data: np.ndarray, first: np.ndarray, length: np.ndarray) -> list[str]:
-    """The UTF-8 strings at data[first:first + length], decoded in one call
-    and cut by character counts: a string's character count is its number
-    of bytes that are not continuation bytes (0b10xxxxxx)."""
-    marks = np.zeros(len(data) + 1, dtype=np.int8)
-    marks[first] += 1
-    marks[first + length] -= 1
-    np.cumsum(marks, dtype=np.int8, out=marks)
-    joined = data[marks[:-1].view(bool)]
-    del marks
-    # a string that starts inside a character would decode as part of the previous one
-    lead = first[length > 0]
-    inside = np.flatnonzero(data[lead] & 0xC0 == 0x80)
-    if inside.size:
-        raise IndexStoreError(f"{path}: string at byte offset {int(lead[inside[0]])} starts with a continuation byte")
-    try:
-        text = joined.tobytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        cuts = np.cumsum(length)
-        j = int(np.searchsorted(cuts, exc.start, side="right"))
-        at = int(first[j] + exc.start - (cuts[j] - length[j]))
-        raise IndexStoreError(
-            f"{path}: string at byte offset {int(first[j])} is not UTF-8: {exc.reason} at byte offset {at}"
-        ) from None
-    chars = length
-    if len(text) != joined.size:
-        # character counts wrap at 256 in the running count; longer strings are counted again
-        counted = np.zeros(joined.size + 1, dtype=np.uint8)
-        starts = joined & 0xC0 != 0x80
-        np.cumsum(starts, dtype=np.uint8, out=counted[1:])
-        cuts = np.cumsum(length)
-        chars = (counted[cuts] - counted[cuts - length]).astype(np.int64)
-        for j in np.flatnonzero(length > 0xFF).tolist():
-            chars[j] = np.count_nonzero(starts[cuts[j] - length[j] : cuts[j]])
-    bounds = np.cumsum(chars).tolist()
-    return [text[a:b] for a, b in zip([0] + bounds, bounds)]
+def _strings(path, payload: bytes, first: np.ndarray, length: np.ndarray) -> list[str]:
+    """The UTF-8 strings at payload[first:first + length], each decoded on its own."""
+    strings = []
+    for a, b in zip(first.tolist(), (first + length).tolist()):
+        try:
+            strings.append(payload[a:b].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise IndexStoreError(
+                f"{path}: string at byte offset {a} is not UTF-8: {exc.reason} at byte offset {a + exc.start}"
+            ) from None
+    return strings
 
 
 def _records(strings: list[str], numbers: np.ndarray) -> bytearray:
