@@ -42,8 +42,8 @@ from .expansion import (
 )
 from .index import Index, build_index, build_index_to_dir, read_config
 from .models import MODEL_IDS, ModelParams, check_model_id
-from .retrieval import build_query, oracle_rank, parse_topics, rank, write_run, write_topics
-from .util import atomic_write_text, read_text
+from .retrieval import build_query, check_fields, oracle_rank, parse_topics, rank, write_run, write_topics
+from .util import read_text, replacing
 
 log = logging.getLogger(__name__)
 
@@ -111,6 +111,12 @@ class Settings:
                 raise ConfigError(f"config key {key}: bad value {raw!r}") from None
         return default
 
+    def at_least(self, key: str, least: int, default: int) -> int:
+        value = self.get(key, default, int)
+        if value < least:
+            raise ConfigError(f"--{key.replace('_', '-')}: must be at least {least}, got {value}")
+        return value
+
     def need(self, key: str, cast=str):
         value = self.get(key, None, cast)
         if value is None:
@@ -161,11 +167,14 @@ class Settings:
         return tuple(check_model_id(name.strip()) for name in spec.split(",") if name.strip())
 
     def expansion_policy(self) -> ExpansionPolicy:
-        return ExpansionPolicy(
-            max_added_per_query=self.get("max_added_per_query", 6, int),
-            max_synonyms_per_term=self.get("max_synonyms_per_term", None, int),
-            expanded_term_weight=self.get("expanded_term_weight", 1.0, float),
-        )
+        try:
+            return ExpansionPolicy(
+                max_added_per_query=self.get("max_added_per_query", 6, int),
+                max_synonyms_per_term=self.get("max_synonyms_per_term", None, int),
+                expanded_term_weight=self.get("expanded_term_weight", 1.0, float),
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _files_of(paths: list[str], kind: str, purpose: str, suffix: str = "") -> list[Path]:
@@ -194,6 +203,12 @@ def _path_list(settings: Settings, key: str) -> list[str]:
     return [p.strip() for p in raw.split(",") if p.strip()]
 
 
+def _write_each(directory, texts: dict[str, str]) -> None:
+    for name, text in texts.items():
+        with replacing(os.path.join(directory, name)) as fh:
+            fh.write(text)
+
+
 def cmd_index(settings: Settings) -> int:
     paths = _path_list(settings, "corpus")
     if not paths:
@@ -202,12 +217,11 @@ def cmd_index(settings: Settings) -> int:
     index_dir = settings.need("index_dir")
     cfg_analyzer = settings.analyzer()
     lenient = settings.get("lenient", False, bool)
-    budget = settings.get("memory_budget_mb", 512, int)
+    budget = settings.at_least("memory_budget_mb", 0, 512)
     seen: set[str] = set()  # docids across all the files
     docs = (doc for f in files for doc in parse_corpus(f, lenient=lenient, seen=seen))
     stats = build_index_to_dir(docs, cfg_analyzer, index_dir, memory_budget_mb=budget)
-    atomic_write_text(os.path.join(index_dir, "stats.txt"), stats.as_text())
-    atomic_write_text(os.path.join(index_dir, "stats.csv"), stats.as_csv())
+    _write_each(index_dir, {"stats.txt": stats.as_text(), "stats.csv": stats.as_csv()})
     sys.stdout.write(stats.as_text())
     sys.stdout.write(f"index written to {index_dir}\n")
     return 0
@@ -216,8 +230,8 @@ def cmd_index(settings: Settings) -> int:
 def cmd_run(settings: Settings) -> int:
     index = Index.load(settings.need_path("index_dir"))
     topics = parse_topics(settings.need_path("topics"))
-    fields = settings.get("fields", "TD")
-    cutoff = settings.get("cutoff", 1000, int)
+    fields = settings.get("fields", "TD", check_fields)
+    cutoff = settings.at_least("cutoff", 1, 1000)
     tag = settings.get("tag", "girit")
     out_dir = settings.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
@@ -233,9 +247,7 @@ def cmd_run(settings: Settings) -> int:
             sys.stderr.write(f"{model}: aborted: {exc}\n")
             failed.append(model)
             continue
-        buf = io.StringIO()
-        lines = write_run(lists, tag, buf)
-        atomic_write_text(path, buf.getvalue())
+        lines = write_run(lists, tag, path)
         sys.stdout.write(f"{model}: wrote {lines} lines to {path}\n")
     if failed:
         sys.stderr.write(f"models aborted by scoring-domain errors: {', '.join(failed)}\n")
@@ -245,7 +257,7 @@ def cmd_run(settings: Settings) -> int:
 
 def cmd_expand(settings: Settings) -> int:
     topics = parse_topics(settings.need_path("topics"))
-    fields = settings.get("fields", "TD")
+    fields = settings.get("fields", "TD", check_fields)
     index_dir = settings.get("index_dir")
     cfg_analyzer = read_config(index_dir) if index_dir else settings.analyzer()
     thesaurus = load_thesaurus(settings.need_path("thesaurus"), cfg_analyzer)
@@ -256,12 +268,10 @@ def cmd_expand(settings: Settings) -> int:
         bag = build_query(topic, fields, cfg_analyzer)
         expanded = expand_query(bag, thesaurus, policy)
         expanded_topics.append(expand_topic(topic, bag, expanded))
-    buf = io.StringIO()
-    write_topics(expanded_topics, buf)
-    atomic_write_text(output, buf.getvalue())
+    write_topics(expanded_topics, output)
     stats = expansion_stats(topics, expanded_topics, fields, cfg_analyzer)
-    stats_path = settings.get("stats_output", output + ".stats.txt")
-    atomic_write_text(stats_path, stats.as_text())
+    with replacing(settings.get("stats_output", output + ".stats.txt")) as fh:
+        fh.write(stats.as_text())
     sys.stdout.write(stats.as_text())
     sys.stdout.write(f"expanded topics written to {output}\n")
     return 0
@@ -282,14 +292,13 @@ def cmd_eval(settings: Settings) -> int:
         raise ConfigError("missing required option: --runs")
     files = _files_of(paths, "run", "evaluate", suffix=".run")
     qrels = parse_qrels(settings.need_path("qrels"))
-    cutoff = settings.get("cutoff", 1000, int)
+    cutoff = settings.at_least("cutoff", 1, 1000)
     out_dir = settings.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     for path in files:
         model = _model_of_run_file(path)
         result = evaluate_run(parse_run(path), qrels, cutoff, model=model)
-        atomic_write_text(os.path.join(out_dir, f"{model}.eval"), result.as_text())
-        atomic_write_text(os.path.join(out_dir, f"{model}.csv"), result.as_csv())
+        _write_each(out_dir, {f"{model}.eval": result.as_text(), f"{model}.csv": result.as_csv()})
         sys.stdout.write(
             f"{model}: relevant_retrieved={result.total_relevant_retrieved}"
             f"/{result.total_relevant} map={result.mean_average_precision:.6f}\n"
@@ -319,8 +328,7 @@ def cmd_compare(settings: Settings) -> int:
         raise ConfigError(str(exc)) from None
     out_dir = settings.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(out_dir, "comparison.txt"), report.as_text())
-    atomic_write_text(os.path.join(out_dir, "comparison.csv"), report.as_csv())
+    _write_each(out_dir, {"comparison.txt": report.as_text(), "comparison.csv": report.as_csv()})
     sys.stdout.write(report.as_text())
     return 0
 
@@ -331,7 +339,7 @@ def cmd_verify(settings: Settings) -> int:
     from .synth import pick_query_terms, synth_corpus
     from .retrieval import QueryBag
 
-    instances = settings.get("instances", 20, int)
+    instances = settings.at_least("instances", 1, 20)
     seed = settings.get("seed", 7, int)
     max_docs = settings.get("max_docs", 150, int)
     models = settings.models()

@@ -15,6 +15,7 @@ whose memory use is bounded by the largest single document, not the corpus.
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import logging
 import os
@@ -70,17 +71,11 @@ class _PrefixedReader:
         self._prefix = prefix
         self._stream = stream
 
-    def read(self, n=-1):
-        if self._prefix:
-            if n is None or n < 0:
-                out = self._prefix + self._stream.read()
-                self._prefix = b""
-                return out
-            out, self._prefix = self._prefix[:n], self._prefix[n:]
-            if len(out) < n:
-                out += self._stream.read(n - len(out))
-            return out
-        return self._stream.read(n)
+    def read(self, n: int) -> bytes:
+        out, self._prefix = self._prefix[:n], self._prefix[n:]
+        if len(out) < n:
+            out += self._stream.read(n - len(out))
+        return out
 
 
 class _GzipReader:
@@ -105,36 +100,24 @@ def _gunzipped(stream):
     return raw
 
 
-class _Utf8Stream:
-    """Incremental UTF-8 decoder that reports exact byte offsets on failure."""
-
-    def __init__(self, reader):
-        self._reader = reader
-        self._pending = b""
-        self._offset = 0  # stream byte offset of the start of _pending
-
-    def read_text(self) -> str | None:
-        chunk = self._reader.read(_CHUNK)
-        eof = not chunk
-        data = self._pending + chunk
-        if not data:
-            return None
+def _decoded(reader):
+    """Text of a UTF-8 byte reader, chunk by chunk; a bad byte is a
+    CorpusError with its byte offset."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # bytes read so far
+    while True:
+        chunk = reader.read(_CHUNK)
         try:
-            text = data.decode("utf-8")
-            self._pending = b""
+            text = decoder.decode(chunk, final=not chunk)
         except UnicodeDecodeError as exc:
-            if not eof and exc.end == len(data):
-                # incomplete multi-byte sequence at the chunk boundary
-                text = data[: exc.start].decode("utf-8")
-                self._pending = data[exc.start :]
-            else:
-                raise CorpusError(
-                    f"UTF-8 decode failure: {exc.reason}", offset=self._offset + exc.start
-                ) from None
-        self._offset += len(data) - len(self._pending)
-        if eof and not text:
-            return None
-        return text
+            # exc.start counts from the bytes the decoder still held
+            at = offset - len(decoder.getstate()[0]) + exc.start
+            raise CorpusError(f"UTF-8 decode failure: {exc.reason}", offset=at) from None
+        if text:
+            yield text
+        if not chunk:
+            return
+        offset += len(chunk)
 
 
 # parser states
@@ -160,12 +143,11 @@ def parse_corpus(source, lenient: bool = False, seen: set[str] | None = None):
     else:
         where = getattr(source, "name", "<stream>")
     with reading(source) as stream:
-        yield from _documents(_Utf8Stream(_gunzipped(stream)), lenient, where, set() if seen is None else seen)
+        yield from _documents(_decoded(_gunzipped(stream)), lenient, where, set() if seen is None else seen)
 
 
-def _documents(decoder: _Utf8Stream, lenient: bool, where: str, seen: set[str]):
+def _documents(texts, lenient: bool, where: str, seen: set[str]):
     buf = ""
-    done = False
     state = _OUTSIDE
     docno_parts: list[str] = []
     text_parts: list[str] = []
@@ -193,12 +175,9 @@ def _documents(decoder: _Utf8Stream, lenient: bool, where: str, seen: set[str]):
         skipping = True
 
     while True:
-        if not done:
-            more = decoder.read_text()
-            if more is None:
-                done = True
-            else:
-                buf += more
+        more = next(texts, "")
+        done = not more
+        buf += more
         pos = 0
         for match in _TAG_RE.finditer(buf):
             content = buf[pos : match.start()]

@@ -42,6 +42,8 @@ class ExpansionPolicy:
     def __post_init__(self):
         if self.max_added_per_query < 0:
             raise ValueError("max_added_per_query must be >= 0")
+        if self.max_synonyms_per_term is not None and self.max_synonyms_per_term < 0:
+            raise ValueError("max_synonyms_per_term must be >= 0")
         if self.expanded_term_weight <= 0:
             raise ValueError("expanded_term_weight must be > 0")
 

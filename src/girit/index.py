@@ -44,6 +44,7 @@ from .util import (
     decode_varints,
     encode_varints,
     read_checksummed,
+    replacing,
     varint_widths,
     write_checksummed,
 )
@@ -401,25 +402,16 @@ def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, batches) -> in
     lex_payload = bytearray()
     offset = 0
     vocabulary = 0
-    post_path = os.path.join(directory, POSTINGS_FILE)
-    try:
-        with open(post_path + ".tmp", "wb") as fh:
-            hasher = hashlib.blake2b(digest_size=CHECKSUM_BYTES)
-            for terms, df, cf, nbytes, payload in batches:
-                starts = offset + np.cumsum(nbytes) - nbytes
-                lex_payload += _records(terms, np.column_stack([df, cf, starts, nbytes]))
-                fh.write(payload)
-                hasher.update(payload)
-                offset += len(payload)
-                vocabulary += len(terms)
-            fh.write(hasher.digest())
-        os.replace(post_path + ".tmp", post_path)
-    except BaseException:
-        try:
-            os.unlink(post_path + ".tmp")
-        except OSError:
-            pass
-        raise
+    with replacing(os.path.join(directory, POSTINGS_FILE), "wb") as fh:
+        hasher = hashlib.blake2b(digest_size=CHECKSUM_BYTES)
+        for terms, df, cf, nbytes, payload in batches:
+            starts = offset + np.cumsum(nbytes) - nbytes
+            lex_payload += _records(terms, np.column_stack([df, cf, starts, nbytes]))
+            fh.write(payload)
+            hasher.update(payload)
+            offset += len(payload)
+            vocabulary += len(terms)
+        fh.write(hasher.digest())
     write_checksummed(os.path.join(directory, LEXICON_FILE), lex_payload)
 
     header = {
@@ -449,6 +441,8 @@ def _read_header(directory) -> dict:
         header = json.loads(read_checksummed(path).decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise IndexStoreError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise IndexStoreError(f"{path}: unreadable header: not a JSON object")
     if header.get("magic") != MAGIC:
         raise IndexStoreError(f"{path}: bad magic {header.get('magic')!r}")
     if header.get("version") != FORMAT_VERSION:
@@ -456,7 +450,19 @@ def _read_header(directory) -> dict:
             f"{path}: unsupported format version {header.get('version')!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    for prefix, kinds in (("", _HEADER_KEYS), ("analyzer.", _ANALYZER_KEYS)):
+        table = header["analyzer"] if prefix else header
+        for key, kind in kinds.items():
+            if type(table.get(key)) is not kind:  # exactly: a bool is an int too
+                raise IndexStoreError(f"{path}: key {prefix + key!r} is missing or not of type {kind.__name__}")
+    if not all(isinstance(word, str) for word in header["analyzer"]["stopwords"]):
+        raise IndexStoreError(f"{path}: key 'analyzer.stopwords' must hold strings")
     return header
+
+
+# the header keys that Index.load and _config_from_header read, and their types
+_HEADER_KEYS = {"num_documents": int, "total_tokens": int, "vocabulary_size": int, "analyzer": dict}
+_ANALYZER_KEYS = {"lowercase_latin": bool, "unicode_normalization": str, "min_token_length": int, "stopwords": list}
 
 
 def _config_from_header(header: dict) -> AnalyzerConfig:

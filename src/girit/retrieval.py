@@ -332,7 +332,8 @@ def write_run(ranked_lists, tag: str, out) -> int:
     `util.writing`); returns the number of lines.
 
     Each ranked list is one `%` format of its `format_run_line` lines and one
-    write; the whole run is never built as one string.
+    write; the whole run is never built as one string. A path is written all
+    or nothing: if `ranked_lists` raises partway, the path is left as it was.
     """
     n = 0
     tag = tag.replace("%", "%%")

@@ -1,5 +1,5 @@
-"""Small shared helpers: named inputs and outputs, varint codec, file
-checksums, atomic writes."""
+"""Small shared helpers: named inputs and outputs, all-or-nothing writes,
+varint codec, file checksums."""
 
 from __future__ import annotations
 
@@ -44,11 +44,33 @@ def read_text(source) -> str:
 
 
 @contextmanager
+def replacing(path, mode: str = "w"):
+    """Write `path` all or nothing: the block writes a temporary file in the
+    same directory (UTF-8 text for mode "w", bytes for "wb"), which replaces
+    `path` when the block ends and is removed if the block raises."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".tmp.{os.urandom(6).hex()}.{name}")
+    # created like open() creates files, so the process umask sets its mode
+    fh = open(tmp, "xb") if mode == "wb" else open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+@contextmanager
 def writing(out):
-    """Text output: a str or os.PathLike is a path, opened UTF-8 here and
-    closed on exit; anything else is an open text file, left open."""
+    """Text output: a str or os.PathLike is a path, written through
+    `replacing`; anything else is an open text file, left open."""
     if isinstance(out, (str, os.PathLike)):
-        with open(out, "w", encoding="utf-8") as fh:
+        with replacing(out) as fh:
             yield fh
     else:
         yield out
@@ -138,7 +160,8 @@ def checksum64(data: bytes) -> bytes:
 
 
 def write_checksummed(path, payload: bytes) -> None:
-    atomic_write_bytes(path, payload + checksum64(payload))
+    with replacing(path, "wb") as fh:
+        fh.write(payload + checksum64(payload))
 
 
 def read_checksummed(path) -> bytes:
@@ -152,24 +175,3 @@ def read_checksummed(path) -> bytes:
         raise IndexStoreError(f"{path}: checksum mismatch (corrupt or truncated)")
     return payload
 
-
-def atomic_write_bytes(path, data: bytes) -> None:
-    path = os.fspath(path)
-    directory, name = os.path.split(path)
-    # created like open() creates files, so the process umask sets its mode
-    tmp = os.path.join(directory, f".tmp.{os.urandom(6).hex()}.{name}")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))

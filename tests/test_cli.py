@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import json
 import logging
 import os
 import random
@@ -15,6 +16,7 @@ from girit.index import Index, read_config
 from girit.models import MODEL_IDS
 from girit.retrieval import parse_topics, write_topics
 from girit.synth import synth_experiment
+from girit.util import checksum64
 
 
 def run_cli(*args):
@@ -560,3 +562,53 @@ def test_broken_gzip_corpus_file_is_a_data_error_naming_the_file(damage, tmp_pat
     assert run_cli("index", "--corpus", corpus_dir, "--index-dir", tmp_path / "idx") == 2
     err = capsys.readouterr().err
     assert f"error: {corpus_dir / 'b.trec.gz'}: corrupt or truncated gzip data: " in err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (("run", "--cutoff", 0), "--cutoff: must be at least 1, got 0"),
+        (("run", "--cutoff", -5), "--cutoff: must be at least 1, got -5"),
+        (("eval", "--cutoff", 0), "--cutoff: must be at least 1, got 0"),
+        (("run", "--config", "fields=X"), "config key fields: bad value 'X'"),
+        (("expand", "--max-added-per-query", -1), "max_added_per_query must be >= 0"),
+        (("expand", "--max-synonyms-per-term", -1), "max_synonyms_per_term must be >= 0"),
+        (("index", "--memory-budget-mb", -1), "--memory-budget-mb: must be at least 0, got -1"),
+        (("verify", "--instances", 0), "--instances: must be at least 1, got 0"),
+    ],
+    ids=["run-cutoff-0", "run-cutoff-negative", "eval-cutoff-0", "config-fields-X",
+         "expand-max-added-negative", "expand-max-synonyms-negative", "index-budget-negative",
+         "verify-no-instances"],
+)
+def test_out_of_range_option_is_a_validation_error_naming_it(command, option, fixture_dir, workspace, tmp_path, capsys):
+    name, flag, value = command
+    if flag == "--config":
+        (tmp_path / "exp.conf").write_text(value + "\n", encoding="utf-8")
+        value = tmp_path / "exp.conf"
+    out = tmp_path / "out"
+    required = {
+        "run": ("--index-dir", workspace / "idx", "--topics", fixture_dir / "topics.txt", "--models", "BM25",
+                "--output-dir", out),
+        "eval": ("--runs", workspace / "runs_before", "--qrels", fixture_dir / "qrels.txt", "--output-dir", out),
+        "expand": ("--topics", fixture_dir / "topics.txt", "--thesaurus", fixture_dir / "thesaurus.tsv",
+                   "--output", out),
+        "index": ("--corpus", fixture_dir / "corpus.trec", "--index-dir", out),
+        "verify": (),
+    }
+    assert run_cli(name, *required[name], flag, value) == 1
+    assert f"error: {option}" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_index_header_missing_a_key_is_a_data_error_naming_it(workspace, fixture_dir, tmp_path, capsys):
+    idx = tmp_path / "idx"
+    shutil.copytree(workspace / "idx", idx)
+    payload = (idx / "header.json").read_bytes()[:-8]
+    header = json.loads(payload)
+    del header["num_documents"]
+    payload = json.dumps(header).encode("utf-8")
+    (idx / "header.json").write_bytes(payload + checksum64(payload))
+    code = run_cli("run", "--index-dir", idx, "--topics", fixture_dir / "topics.txt", "--models", "BM25",
+                   "--output-dir", tmp_path / "runs")
+    assert code == 2
+    assert f"error: {idx / 'header.json'}: key 'num_documents' is missing or not of type int" in capsys.readouterr().err

@@ -130,6 +130,24 @@ class TestParseErrors:
             list(parse_corpus(io.BytesIO(payload)))
         assert exc_info.value.offset == payload.index(b"\xff")
 
+    @pytest.mark.parametrize("chunk", range(1, 9))
+    @pytest.mark.parametrize(
+        "tail",
+        [b"\xff</TEXT></DOC>", b"\xe0\xaax</TEXT></DOC>", b"</TEXT></DOC>\xe0\xaa"],
+        ids=["bad-byte", "sequence-broken-after-a-cut", "sequence-cut-at-eof"],
+    )
+    def test_utf8_failure_offset_at_any_chunk_size(self, monkeypatch, chunk, tail):
+        """The offset and the reason are those of decoding the whole input at
+        once, wherever the chunks cut a multi-byte sequence."""
+        monkeypatch.setattr(corpus_mod, "_CHUNK", chunk)
+        payload = "<DOC><DOCNO>d1</DOCNO><TEXT>ગુજરાતી ×".encode("utf-8") + tail
+        with pytest.raises(UnicodeDecodeError) as whole:
+            payload.decode("utf-8")
+        with pytest.raises(CorpusError) as exc_info:
+            list(parse_corpus(io.BytesIO(payload)))
+        assert exc_info.value.offset == whole.value.start
+        assert str(exc_info.value) == f"UTF-8 decode failure: {whole.value.reason} | byte offset {whole.value.start}"
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -170,6 +188,27 @@ class TestGzip:
         path.write_bytes(gzip.compress(text.encode("utf-8")))
         docs = list(parse_corpus(path))
         assert docs == [RawDocument(docid="d1", text="zipped")]
+
+    def test_gzip_detected_on_a_stream_that_yields_one_byte_per_read(self):
+        """Like a pipe whose writer sends one byte at a time: the buffered
+        reader that `reading` opens still hands over the whole magic."""
+
+        class OneByteAtATime(io.RawIOBase):
+            def __init__(self, data):
+                self._data = data
+
+            def readable(self):
+                return True
+
+            def readinto(self, buf):
+                if not self._data:
+                    return 0
+                buf[0], self._data = self._data[0], self._data[1:]
+                return 1
+
+        text = "<DOC><DOCNO>d1</DOCNO><TEXT>zipped ગુજરાતી</TEXT></DOC>"
+        stream = io.BufferedReader(OneByteAtATime(gzip.compress(text.encode("utf-8"))))
+        assert list(parse_corpus(stream)) == [RawDocument(docid="d1", text="zipped ગુજરાતી")]
 
     def test_plain_file_path(self, tmp_path):
         path = tmp_path / "corpus.trec"

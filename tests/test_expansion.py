@@ -164,7 +164,9 @@ class TestExpandQuery:
         twice = expand_query(once, th)
         assert twice.terms == once.terms
 
-    @pytest.mark.parametrize("kwargs", [{"max_added_per_query": -1}, {"expanded_term_weight": 0.0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_added_per_query": -1}, {"expanded_term_weight": 0.0}, {"max_synonyms_per_term": -1}]
+    )
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExpansionPolicy(**kwargs)

@@ -235,6 +235,47 @@ class TestPersistence:
         with pytest.raises(IndexStoreError, match="not an index directory"):
             Index.load(tmp_path / "nowhere")
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda h: h.pop("num_documents"), "key 'num_documents' is missing or not of type int"),
+            (lambda h: h.pop("total_tokens"), "key 'total_tokens' is missing or not of type int"),
+            (lambda h: h.pop("vocabulary_size"), "key 'vocabulary_size' is missing or not of type int"),
+            (lambda h: h.pop("analyzer"), "key 'analyzer' is missing or not of type dict"),
+            (lambda h: h["analyzer"].pop("stopwords"), "key 'analyzer.stopwords' is missing or not of type list"),
+            (lambda h: h["analyzer"].pop("min_token_length"), "key 'analyzer.min_token_length' is missing or not of type int"),
+            (lambda h: h.update(num_documents="2"), "key 'num_documents' is missing or not of type int"),
+            (lambda h: h.update(total_tokens=True), "key 'total_tokens' is missing or not of type int"),
+            (lambda h: h.update(analyzer=[]), "key 'analyzer' is missing or not of type dict"),
+            (lambda h: h["analyzer"].update(lowercase_latin=1), "key 'analyzer.lowercase_latin' is missing or not of type bool"),
+            (lambda h: h["analyzer"].update(unicode_normalization=None), "key 'analyzer.unicode_normalization' is missing or not of type str"),
+            (lambda h: h["analyzer"].update(stopwords=[1]), "key 'analyzer.stopwords' must hold strings"),
+        ],
+        ids=[
+            "no-num_documents", "no-total_tokens", "no-vocabulary_size", "no-analyzer", "no-stopwords",
+            "no-min_token_length", "str-num_documents", "bool-total_tokens", "list-analyzer",
+            "int-lowercase_latin", "null-unicode_normalization", "int-stopword",
+        ],
+    )
+    def test_header_key_missing_or_of_the_wrong_type_is_named(self, cfg, tmp_path, damage, message):
+        build_index(TWO_DOCS, cfg).persist(tmp_path / "idx")
+        path = tmp_path / "idx" / HEADER_FILE
+        header = json.loads(read_checksummed(path))
+        damage(header)
+        write_checksummed(path, json.dumps(header).encode("utf-8"))
+        with pytest.raises(IndexStoreError) as exc_info:
+            Index.load(tmp_path / "idx")
+        assert str(exc_info.value) == f"{path}: {message}"
+        with pytest.raises(IndexStoreError, match=re.escape(message)):
+            girit.index.read_config(tmp_path / "idx")
+
+
+    def test_header_that_is_not_an_object_is_unreadable(self, cfg, tmp_path):
+        build_index(TWO_DOCS, cfg).persist(tmp_path / "idx")
+        write_checksummed(tmp_path / "idx" / HEADER_FILE, b"[]")
+        with pytest.raises(IndexStoreError, match="unreadable header: not a JSON object"):
+            Index.load(tmp_path / "idx")
+
 
 class TestCrashSafety:
     def test_interrupted_rebuild_does_not_load(self, cfg, tmp_path, monkeypatch):
@@ -257,6 +298,7 @@ class TestCrashSafety:
         with pytest.raises(IndexStoreError, match="not an index directory"):
             Index.load(directory)
         assert not list(directory.rglob("*.tmp"))
+        assert not list(directory.rglob(".tmp.*"))
         assert {f.name for f in directory.iterdir()} == {DOCTABLE_FILE, LEXICON_FILE, POSTINGS_FILE}
 
 

@@ -1,5 +1,6 @@
 """Named inputs: a str or Path is always a path, text goes through a stream,
-and a format error from a path names that path."""
+and a format error from a path names that path. Outputs to a path are
+written all or nothing."""
 
 import io
 
@@ -10,7 +11,7 @@ from girit.errors import FormatError, QrelsError, ThesaurusError, TopicError
 from girit.evaluation import parse_qrels, parse_run
 from girit.expansion import load_thesaurus
 from girit.retrieval import RankedList, Topic, parse_topics, write_run, write_topics
-from girit.util import read_text
+from girit.util import read_text, replacing
 
 SAMPLES = {
     "topics": "<top>\n<num>1</num>\n<title>tv news</title>\n</top>\n",
@@ -103,3 +104,37 @@ def test_writers_take_a_path_or_an_open_file(tmp_path):
         path.parent.mkdir(exist_ok=True)
         write(value, str(path))
         assert path.read_text(encoding="utf-8") == buf.getvalue() != ""
+
+
+@pytest.mark.parametrize("mode, new", [("w", "new ×\n"), ("wb", b"new\n")], ids=["text", "binary"])
+def test_replacing_replaces_the_target_when_the_block_ends(mode, new, tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old")
+    with replacing(path, mode) as fh:
+        fh.write(new)
+        assert path.read_bytes() == b"old"
+    assert path.read_bytes() == (new.encode("utf-8") if mode == "w" else new)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("mode, new", [("w", "new"), ("wb", b"new")], ids=["text", "binary"])
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_replacing_block_that_raises_keeps_the_target_and_leaves_no_temporary(mode, new, error, tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old")
+    with pytest.raises(error):
+        with replacing(path, mode) as fh:
+            fh.write(new)
+            raise error
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_run_whose_ranked_lists_raise_partway_leaves_no_file(tmp_path):
+    def lists():
+        yield RankedList(qid="q1", entries=[("d1", 1, 2.5)])
+        raise RuntimeError("ranking failed")
+
+    with pytest.raises(RuntimeError, match="ranking failed"):
+        write_run(lists(), "t", tmp_path / "t.BM25.run")
+    assert list(tmp_path.iterdir()) == []
