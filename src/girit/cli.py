@@ -13,6 +13,7 @@ import io
 import logging
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from .analysis import AnalyzerConfig, load_stopwords
@@ -164,7 +165,8 @@ class Settings:
         spec = self.get("models", "all")
         if spec in ("all", ""):
             return MODEL_IDS
-        return tuple(check_model_id(name.strip()) for name in spec.split(",") if name.strip())
+        # a repeated id names the same model once, where it first appears
+        return tuple(dict.fromkeys(check_model_id(name.strip()) for name in spec.split(",") if name.strip()))
 
     def expansion_policy(self) -> ExpansionPolicy:
         try:
@@ -228,6 +230,14 @@ def cmd_index(settings: Settings) -> int:
 
 
 def cmd_run(settings: Settings) -> int:
+    """Rank every topic under each selected model, queries as the outer loop.
+
+    Each query's terms are decoded once (`Index.holding`) for all the models.
+    Each model's run file is one `replacing` writer for the whole stage, fed
+    one ranked list at a time. A model whose scoring hits a
+    ScoringDomainError has its writer discarded and its file left as it was;
+    the others go on. Any other error discards every writer.
+    """
     index = Index.load(settings.need_path("index_dir"))
     topics = parse_topics(settings.need_path("topics"))
     fields = settings.get("fields", "TD", check_fields)
@@ -238,19 +248,34 @@ def cmd_run(settings: Settings) -> int:
     params = settings.model_params()
     models = settings.models()
     bags = [build_query(t, fields, index.cfg) for t in topics]
-    failed: list[str] = []
+    paths = {model: os.path.join(out_dir, f"{tag}.{model}.run") for model in models}
+    lines = dict.fromkeys(models, 0)
+    aborted: dict[str, ScoringDomainError] = {}
+    with ExitStack() as stack:
+        # each writer sits in a stack of its own, so that one model's abort
+        # can discard it while the outer stack commits or discards the rest
+        writers = {}
+        for model in models:
+            own = stack.enter_context(ExitStack())
+            writers[model] = (own, own.enter_context(replacing(paths[model])))
+        for bag in bags:
+            view = index.holding(bag.terms)
+            for model in list(writers):
+                try:
+                    ranked = rank(view, bag, model, params, k=cutoff)
+                except ScoringDomainError as exc:
+                    aborted[model] = exc
+                    writers.pop(model)[0].__exit__(type(exc), exc, exc.__traceback__)
+                    continue
+                lines[model] += write_run([ranked], tag, writers[model][1])
     for model in models:
-        path = os.path.join(out_dir, f"{tag}.{model}.run")
-        try:
-            lists = [rank(index, bag, model, params, k=cutoff) for bag in bags]
-        except ScoringDomainError as exc:
-            sys.stderr.write(f"{model}: aborted: {exc}\n")
-            failed.append(model)
-            continue
-        lines = write_run(lists, tag, path)
-        sys.stdout.write(f"{model}: wrote {lines} lines to {path}\n")
-    if failed:
-        sys.stderr.write(f"models aborted by scoring-domain errors: {', '.join(failed)}\n")
+        if model in aborted:
+            sys.stderr.write(f"{model}: aborted: {aborted[model]}\n")
+        else:
+            sys.stdout.write(f"{model}: wrote {lines[model]} lines to {paths[model]}\n")
+    if aborted:
+        failed = ", ".join(model for model in models if model in aborted)
+        sys.stderr.write(f"models aborted by scoring-domain errors: {failed}\n")
         return 2
     return 0
 

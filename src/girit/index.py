@@ -14,11 +14,14 @@ in a 64-bit BLAKE2b checksum of the preceding payload:
 header.json is removed first and written last, so a directory whose write was
 interrupted does not load. Internal ids are dense 0..N-1 in ingestion order.
 Building is single-writer; a built or loaded index is immutable and safe to
-share across threads.
+share across threads. `Index.holding` returns a per-query view (a shallow
+copy) that holds that query's decoded posting lists; the index itself is
+never changed.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
@@ -147,6 +150,8 @@ class Index:
         self._lexicon = dict(zip(terms, range(len(terms))))
         self._table = table
         self._buf = postings
+        # term -> decoded posting list; empty except in a `holding` view
+        self._held: dict[str, PostingList] = {}
         total = int(self.doc_table.lengths.sum()) if len(doc_table) else 0
         self.stats = CollectionStats(
             num_docs=len(doc_table),
@@ -174,8 +179,26 @@ class Index:
     def lookup(self, term: str) -> PostingList | None:
         """Exact-match lookup on a normalized term; None when unseen.
 
-        Decodes the term's postings block on every call; nothing is cached.
+        A `holding` view hands back the posting list it decoded for one of its
+        terms; any other lookup decodes the term's postings block afresh.
         """
+        posting = self._held.get(term)
+        return posting if posting is not None else self._decode(term)
+
+    def holding(self, terms) -> "Index":
+        """A view of this index that decodes each of `terms` once, here, and
+        whose `lookup` hands back those posting lists.
+
+        The view is a shallow copy: it shares the lexicon, the doc table and
+        the postings bytes, and this index is left as it was. It is meant to
+        live for one query, so that every model ranking that query shares the
+        decoded lists while nothing outlives the query.
+        """
+        view = copy.copy(self)
+        view._held = {t: p for t in terms if (p := self._decode(t)) is not None}
+        return view
+
+    def _decode(self, term: str) -> PostingList | None:
         row = self._lexicon.get(term)
         if row is None:
             return None

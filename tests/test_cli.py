@@ -266,7 +266,8 @@ class TestRunCommand:
         assert code == 1
 
     def test_scoring_domain_abort_spares_other_models(self, tmp_path, capsys):
-        # a short document owning a term's whole collection mass breaks BB2
+        # a short document owning a term's whole collection mass breaks BB2;
+        # the first topic ranks under BB2, so its run file is partly written
         corpus = tmp_path / "c.trec"
         corpus.write_text(
             "<DOC><DOCNO>tiny</DOCNO><TEXT>rare rare</TEXT></DOC>"
@@ -274,17 +275,92 @@ class TestRunCommand:
             encoding="utf-8",
         )
         topics = tmp_path / "t.txt"
-        topics.write_text("<top><num>1</num><title>rare</title></top>", encoding="utf-8")
+        topics.write_text(
+            "<top><num>1</num><title>x</title></top><top><num>2</num><title>rare</title></top>",
+            encoding="utf-8",
+        )
         run_cli("index", "--corpus", corpus, "--index-dir", tmp_path / "idx")
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "t.BB2.run").write_bytes(b"an earlier run\n")
+        capsys.readouterr()
         code = run_cli(
             "run", "--index-dir", tmp_path / "idx", "--topics", topics, "--fields", "T",
-            "--models", "BB2,BM25", "--output-dir", tmp_path / "runs", "--tag", "t",
+            "--models", "BB2,BM25", "--output-dir", runs, "--tag", "t",
         )
         assert code == 2
-        assert not (tmp_path / "runs" / "t.BB2.run").exists()
-        assert (tmp_path / "runs" / "t.BM25.run").exists()
-        err = capsys.readouterr().err
-        assert "BB2" in err and "aborted" in err
+        assert (runs / "t.BB2.run").read_bytes() == b"an earlier run\n"
+        assert (runs / "t.BM25.run").read_text(encoding="utf-8").split("\n")[0].startswith("1 Q0 ")
+        assert sorted(f.name for f in runs.iterdir()) == ["t.BB2.run", "t.BM25.run"]
+        out, err = capsys.readouterr()
+        assert "BB2: aborted: " in err and "qid='2'" in err
+        assert err.endswith("models aborted by scoring-domain errors: BB2\n")
+        assert out == f"BM25: wrote 2 lines to {runs / 't.BM25.run'}\n"
+
+    def test_other_error_mid_stage_replaces_no_run_file(self, fixture_dir, tmp_path, monkeypatch, capsys):
+        import girit.cli
+        from girit.errors import IndexStoreError
+
+        assert run_cli("index", "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx") == 0
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "t.BM25.run").write_bytes(b"an earlier run\n")
+        capsys.readouterr()
+        second = parse_topics(fixture_dir / "topics.txt")[1].qid
+        rank = girit.cli.rank
+
+        def failing(index, bag, *args, **kwargs):
+            if bag.qid == second:
+                raise IndexStoreError("postings block unreadable")
+            return rank(index, bag, *args, **kwargs)
+
+        monkeypatch.setattr(girit.cli, "rank", failing)
+        code = run_cli(
+            "run", "--index-dir", tmp_path / "idx", "--topics", fixture_dir / "topics.txt",
+            "--models", "BM25,PL2", "--output-dir", runs, "--tag", "t",
+        )
+        assert code == 2
+        assert [f.name for f in runs.iterdir()] == ["t.BM25.run"]
+        assert (runs / "t.BM25.run").read_bytes() == b"an earlier run\n"
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: postings block unreadable\n"
+
+    def test_repeated_model_id_is_ranked_once(self, fixture_dir, tmp_path, capsys):
+        assert run_cli("index", "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx") == 0
+        outs = {}
+        for spec, out in (("BM25,BM25", "twice"), ("BM25", "once")):
+            capsys.readouterr()
+            assert run_cli("run", "--index-dir", tmp_path / "idx", "--topics", fixture_dir / "topics.txt",
+                           "--models", spec, "--output-dir", tmp_path / out, "--tag", "t") == 0
+            outs[out] = capsys.readouterr().out
+        assert [f.name for f in (tmp_path / "twice").iterdir()] == ["t.BM25.run"]
+        assert (tmp_path / "twice" / "t.BM25.run").read_bytes() == (tmp_path / "once" / "t.BM25.run").read_bytes()
+        assert len(outs["twice"].splitlines()) == 1
+        assert outs["twice"].replace("twice", "once") == outs["once"]
+
+    @pytest.mark.parametrize("cutoff", [5, 1000])
+    def test_run_files_match_ranking_each_model_over_every_query(self, fixture_dir, tmp_path, cutoff):
+        # the reference ranks model by model, each over every topic, and
+        # writes each run file in one call
+        from girit.models import ModelParams
+        from girit.retrieval import build_query, rank, write_run
+
+        assert run_cli("index", "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx") == 0
+        assert run_cli("run", "--index-dir", tmp_path / "idx", "--topics", fixture_dir / "topics.txt",
+                       "--cutoff", cutoff, "--output-dir", tmp_path / "runs", "--tag", "t") == 0
+        index = Index.load(tmp_path / "idx")
+        bags = [build_query(t, "TD", index.cfg) for t in parse_topics(fixture_dir / "topics.txt")]
+        (tmp_path / "ref").mkdir()
+        lengths = []
+        for model in MODEL_IDS:
+            lists = [rank(index, bag, model, ModelParams(), k=cutoff) for bag in bags]
+            lengths.extend(len(rl) for rl in lists)
+            write_run(lists, "t", tmp_path / "ref" / f"t.{model}.run")
+        if cutoff == 5:
+            assert set(lengths) == {5}
+        else:
+            assert max(lengths) < index.stats.num_docs < cutoff
+        assert dir_hash(tmp_path / "runs") == dir_hash(tmp_path / "ref")
 
     def test_output_and_index_files_follow_the_umask(self, fixture_dir, tmp_path):
         old = os.umask(0o027)

@@ -77,6 +77,29 @@ class TestBuild:
         assert index.stats.total_tokens == 1
 
 
+class TestHoldingView:
+    def test_view_hands_back_the_lists_it_decoded(self, cfg, monkeypatch):
+        index = build_index(TWO_DOCS, cfg)
+        view = index.holding(["a", "zzz"])
+        decoded = []
+        decode = girit.index.decode_varints
+        monkeypatch.setattr(girit.index, "decode_varints", lambda *a: decoded.append(a[1]) or decode(*a))
+        assert view.lookup("a") is view.lookup("a")
+        assert view.lookup("a") == index.lookup("a")
+        assert view.lookup("zzz") is None
+        # only the lookup on the index itself decoded; "b" is not held
+        assert len(decoded) == 1
+        assert view.lookup("b") == index.lookup("b")
+        assert len(decoded) == 3
+
+    def test_index_is_left_as_it_was(self, cfg):
+        index = build_index(TWO_DOCS, cfg)
+        view = index.holding(["a", "b"])
+        assert index.lookup("a") is not index.lookup("a")
+        assert view.doc_table is index.doc_table and view.stats is index.stats
+        assert view.fingerprint == index.fingerprint
+
+
 class TestRecountOracle:
     """Every statistic in the index equals a brute-force recount over the
     analyzed token streams."""
