@@ -30,7 +30,6 @@ import struct
 import sys
 import tempfile
 from array import array
-from bisect import bisect_right
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -75,20 +74,17 @@ class CollectionStats:
 
 
 class PostingList:
-    __slots__ = ("term", "ids", "tfs")
+    __slots__ = ("term", "ids", "tfs", "cf")
 
     def __init__(self, term: str, ids, tfs):
         self.term = term
         self.ids = np.asarray(ids, dtype=np.int64)
         self.tfs = np.asarray(tfs, dtype=np.int64)
+        self.cf = int(self.tfs.sum())
 
     @property
     def df(self) -> int:
         return len(self.ids)
-
-    @property
-    def cf(self) -> int:
-        return int(self.tfs.sum())
 
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self.ids.tolist(), self.tfs.tolist()))
@@ -144,6 +140,7 @@ class Index:
 
     def __init__(self, cfg: AnalyzerConfig, doc_table: DocTable, terms: list[str], table, postings: bytes):
         self.cfg = cfg
+        self.fingerprint = cfg.fingerprint()
         self.doc_table = doc_table
         # lexicon: term -> row of `table`, whose (V, 4) int64 rows are df, cf,
         # offset and nbytes into the v1 postings payload
@@ -158,10 +155,6 @@ class Index:
             total_tokens=total,
             vocabulary_size=len(self._lexicon),
         )
-
-    @property
-    def fingerprint(self) -> str:
-        return self.cfg.fingerprint()
 
     def terms(self):
         return iter(self._lexicon)
@@ -503,10 +496,10 @@ def read_config(directory) -> AnalyzerConfig:
     return _config_from_header(_read_header(directory))
 
 
-# A spill run file: this header (terms, term bytes, rows); the rows as
-# (internal id, tf) int32 pairs, by term and then by id; the term table as
-# (UTF-8 length, df) int32 pairs; then the terms' UTF-8 bytes.
-_RUN_HEADER = struct.Struct("<QQQ")
+# A spill run file: this header (terms, rows); the rows as (internal id, tf)
+# int32 pairs, by term and then by id; then the term table as (term id, df)
+# int32 pairs, in term order. Term ids number the builder's term map.
+_RUN_HEADER = struct.Struct("<QQ")
 # term table entries read from a spill run at a time
 _RUN_TABLE_READ = 64
 # spill runs read at once by a merge; far below common open-file limits
@@ -530,7 +523,7 @@ def _key_dtype(count: int):
 
 
 class _TermIds(dict):
-    """term -> column id, numbered in first-seen order."""
+    """term -> term id, numbered in first-seen order."""
 
     def __missing__(self, term):
         self[term] = n = len(self)
@@ -542,77 +535,78 @@ class _TermIds(dict):
 
 class _Sorted:
     """Rows sorted by term and then internal id, taken front to back a few
-    terms at a time. `terms` and `dfs` are the term table entries read and
-    not yet taken; `_more` reads further entries (False when there are none)
-    and `_rows` the rows of the next `count` terms."""
+    terms at a time; a term is its rank in the sorted term map. `ranks` and
+    `dfs` are the term table entries read and not yet taken; `_more` reads
+    further entries (False when there are none) and `_rows` the rows of the
+    next terms."""
 
-    terms: list[str]
+    ranks: np.ndarray
     dfs: np.ndarray
 
-    def peek(self, limit: int) -> list[str]:
-        """The next terms: as many as fit in `limit` postings, at least one."""
+    def peek(self, limit: int) -> np.ndarray:
+        """The next ranks: as many as fit in `limit` postings, at least one."""
         cum = np.cumsum(self.dfs)
         while (not cum.size or cum[-1] < limit) and self._more():
             cum = np.cumsum(self.dfs)
         fit = int(np.searchsorted(cum, limit, side="right"))
-        return self.terms[: max(1, fit)]
+        return self.ranks[: max(1, fit)]
 
     def take(self, count: int):
-        """(terms, dfs, rows) of the next `count` terms."""
-        terms, self.terms = self.terms[:count], self.terms[count:]
+        """(ranks, dfs, rows) of the next `count` terms."""
+        ranks, self.ranks = self.ranks[:count], self.ranks[count:]
         dfs, self.dfs = self.dfs[:count], self.dfs[count:]
-        return terms, dfs, self._rows(count, int(dfs.sum()))
+        return ranks, dfs, self._rows(ranks, int(dfs.sum()))
 
     def done(self) -> bool:
-        return not self.terms and not self._more()
+        return not self.ranks.size and not self._more()
 
 
 class _Columns(_Sorted):
     """The builder's rows since its last spill, with term ids rewritten to
-    ranks in `terms`. The rows of a range of ranks are found by one scan
-    over the rank column, chunk by chunk, and one stable argsort, so no
-    temporary is as wide as the columns."""
+    ranks; `dfs` counts every rank, and only those that occur are handed
+    out. The rows of a range of ranks are found by one scan over the rank
+    column, chunk by chunk, and one stable argsort, so no temporary is as
+    wide as the columns."""
 
-    def __init__(self, terms, dfs, ranks, tfs, ends, first_doc, chunk):
-        self.terms = terms
-        self.dfs = dfs
+    def __init__(self, dfs, column, tfs, ends, first_doc, chunk):
+        self.ranks = np.flatnonzero(dfs)
+        self.dfs = dfs[self.ranks]
         self._chunk = chunk
-        self._ranks = ranks
+        self._column = column
         self._tfs = tfs
         self._ends = ends
         self._first_doc = first_doc
-        self._next = 0  # rank of the first term not yet taken
 
     def _more(self) -> bool:
         return False
 
-    def _rows(self, count, postings):
-        lo = self._next
-        self._next += count
-        ranks, chunk = self._ranks, self._chunk
+    def _rows(self, ranks, postings):
+        lo = int(ranks[0])
+        width = int(ranks[-1]) + 1 - lo
+        column, chunk = self._column, self._chunk
         pos = np.concatenate([
-            np.flatnonzero((ranks[a : a + chunk] - lo).view(np.uint32) < count) + a
-            for a in range(0, len(ranks), chunk)
+            np.flatnonzero((column[a : a + chunk] - lo).view(np.uint32) < width) + a
+            for a in range(0, len(column), chunk)
         ])
         rows = np.empty((postings, 2), dtype=np.int32)
         # positions are still ascending here, which makes this search cheap
         rows[:, 0] = np.searchsorted(self._ends, pos, side="right") + self._first_doc
         rows[:, 1] = self._tfs[pos]
-        keys = (ranks[pos] - lo).astype(_key_dtype(count))
+        keys = (column[pos] - lo).astype(_key_dtype(width))
         return rows[np.argsort(keys, kind="stable")]
 
 
 class _Run(_Sorted):
-    """A spill run file, read front to back."""
+    """A spill run file, read front to back; `rank` maps its term ids to ranks."""
 
-    def __init__(self, path):
+    def __init__(self, path, rank):
         self._fh = open(path, "rb")
-        nterms, nblob, nrows = _RUN_HEADER.unpack(self._read(0, _RUN_HEADER.size))
+        self._rank = rank
+        nterms, nrows = _RUN_HEADER.unpack(self._read(0, _RUN_HEADER.size))
         self._rows_at = _RUN_HEADER.size
         self._table_at = self._rows_at + 8 * nrows
-        self._blob_at = self._table_at + 8 * nterms
         self._unread = nterms
-        self.terms = []
+        self.ranks = np.empty(0, dtype=rank.dtype)
         self.dfs = np.empty(0, dtype=np.int64)
 
     def _read(self, at: int, size: int) -> bytes:
@@ -627,17 +621,13 @@ class _Run(_Sorted):
         if not count:
             return False
         table = np.frombuffer(self._read(self._table_at, 8 * count), dtype=np.int32).reshape(count, 2)
-        ends = np.cumsum(table[:, 0])
-        blob = self._read(self._blob_at, int(ends[-1]))
-        starts = (ends - table[:, 0]).tolist()
-        self.terms += [blob[a:b].decode("utf-8") for a, b in zip(starts, ends.tolist())]
+        self.ranks = np.concatenate([self.ranks, self._rank[table[:, 0]]])
         self.dfs = np.concatenate([self.dfs, table[:, 1]])
         self._table_at += 8 * count
-        self._blob_at += len(blob)
         self._unread -= count
         return True
 
-    def _rows(self, count, postings):
+    def _rows(self, ranks, postings):
         rows = np.frombuffer(self._read(self._rows_at, 8 * postings), dtype=np.int32)
         self._rows_at += 8 * postings
         return rows.reshape(postings, 2)
@@ -652,7 +642,7 @@ class _Run(_Sorted):
 def _batches(sources, limit: int):
     """Merge sorted sources into batches of whole terms, in term order.
 
-    Yields (terms, dfs, rows) with about `limit` postings (but at least a
+    Yields (ranks, dfs, rows) with about `limit` postings (but at least a
     table read's worth from each source), or one term if that term alone
     has more. The sources hold consecutive document ranges
     in order, so one stable sort of a batch's rows by term keeps them in
@@ -664,27 +654,24 @@ def _batches(sources, limit: int):
         share = max(_RUN_TABLE_READ, limit // len(live))
         heads = [s.peek(share) for s in live]
         cutoff = min(head[-1] for head in heads)
-        counts = [bisect_right(head, cutoff) for head in heads]
+        counts = [int(np.searchsorted(head, cutoff, side="right")) for head in heads]
         taken = [s.take(n) for s, n in zip(live, counts) if n]
         live = [s for s in live if not s.done()]
         if len(taken) == 1:
             yield taken[0]
             continue
-        terms = sorted(set().union(*(t for t, _, _ in taken)))
-        rank = dict(zip(terms, range(len(terms))))
-        dtype = _key_dtype(len(terms))
-        keys = np.concatenate([
-            np.repeat(np.fromiter(map(rank.__getitem__, t), dtype, len(t)), d) for t, d, _ in taken
-        ])
+        ranks, keys = np.unique(np.concatenate([r for r, _, _ in taken]), return_inverse=True)
+        keys = np.repeat(keys.astype(_key_dtype(len(ranks))), np.concatenate([d for _, d, _ in taken]))
         rows = np.concatenate([r for _, _, r in taken])[np.argsort(keys, kind="stable")]
-        yield terms, np.bincount(keys, minlength=len(terms)), rows
+        yield ranks, np.bincount(keys, minlength=len(ranks)), rows
 
 
-def _encoded(batches):
-    """(terms, df, cf, nbytes, payload) for each (terms, dfs, rows) batch;
-    payload is the v1 postings blocks of its terms, back to back, from one
+def _encoded(batches, terms: list[str]):
+    """(terms, df, cf, nbytes, payload) for each (ranks, dfs, rows) batch,
+    a rank being a position in the sorted `terms`; payload is the v1
+    postings blocks of the batch's terms, back to back, from one
     encode_varints call."""
-    for terms, dfs, rows in batches:
+    for ranks, dfs, rows in batches:
         firsts = np.cumsum(dfs) - dfs
         values = rows.astype(np.int64)
         values[1:, 0] -= rows[:-1, 0]
@@ -692,35 +679,31 @@ def _encoded(batches):
         flat = values.reshape(-1)
         payload = encode_varints(flat)
         nbytes = np.add.reduceat(varint_widths(flat), 2 * firsts)
-        yield terms, dfs, np.add.reduceat(values[:, 1], firsts), nbytes, payload
+        yield [terms[r] for r in ranks.tolist()], dfs, np.add.reduceat(values[:, 1], firsts), nbytes, payload
 
 
-def _write_run(path, batches) -> None:
-    """Write (terms, dfs, rows) batches as a spill run; the term table is
-    kept in memory until the rows are written."""
+def _write_run(path, batches, ids) -> None:
+    """Write (ranks, dfs, rows) batches as a spill run, a rank r as the term
+    id ids[r]; the term table is kept in memory until the rows are written."""
     table = []
-    blob = bytearray()
     nrows = 0
     with open(path, "wb") as fh:
         fh.seek(_RUN_HEADER.size)
-        for terms, dfs, rows in batches:
-            raws = [term.encode("utf-8") for term in terms]
-            table.append(np.column_stack([np.fromiter(map(len, raws), np.int64, len(raws)), dfs]).astype(np.int32))
-            blob += b"".join(raws)
+        for ranks, dfs, rows in batches:
+            table.append(np.column_stack([ids[ranks], dfs]).astype(np.int32))
             fh.write(rows)
             nrows += len(rows)
         for part in table:
             fh.write(part)
-        fh.write(blob)
         fh.seek(0)
-        fh.write(_RUN_HEADER.pack(sum(map(len, table)), len(blob), nrows))
+        fh.write(_RUN_HEADER.pack(sum(map(len, table)), nrows))
 
 
-def _merge_runs(paths, limit: int) -> str:
+def _merge_runs(paths, limit: int, rank, ids) -> str:
     """Merge consecutive spill runs into one run file; the inputs are removed."""
     path = paths[0] + ".merged"
     with ExitStack() as stack:
-        _write_run(path, _batches([stack.enter_context(_Run(p)) for p in paths], limit))
+        _write_run(path, _batches([stack.enter_context(_Run(p, rank)) for p in paths], limit), ids)
     for p in paths:
         os.unlink(p)
     return path
@@ -730,8 +713,9 @@ class _Builder:
     """Accumulates postings as columns, spilling sorted runs under a byte budget.
 
     Each document appends its (term id, tf) rows to two int32 columns and
-    the end of its rows to a third; ids number the terms of the term map,
-    which starts afresh after every spill.
+    the end of its rows to a third. The ids number the terms of one term
+    map that lives for the whole build, so a spill run holds ids, and a
+    term is numbered once however often the builder spills.
     """
 
     def __init__(self, cfg: AnalyzerConfig, budget_bytes: int | None, spill_dir: str | None):
@@ -743,6 +727,7 @@ class _Builder:
         self.text_bytes = 0
         self.seen: set[str] = set()
         self.run_paths: list[str] = []
+        self.term_ids = _TermIds()
         self.below_fixed = False  # warned that the fixed share exceeds the budget
         # postings per merge batch: a quarter of the budget holds its temporaries
         if budget_bytes is None:
@@ -752,27 +737,19 @@ class _Builder:
         self._reset()
 
     def _reset(self) -> None:
-        self.term_ids = _TermIds()
         self.tids = array("i")
         self.tfs = array("i")
         self.ends = array("q")
         self.first_doc = len(self.docids)
 
     def fixed_bytes(self) -> int:
-        """The share of the budget no spill frees: the analyzer memo and the
-        temporaries of one merge batch."""
-        return memo_bytes(self.cfg) + self.batch * _BATCH_COST
+        """The share of the budget no spill frees: the analyzer memo, the
+        term map and the temporaries of one merge batch."""
+        return memo_bytes(self.cfg) + self.term_ids.nbytes() + self.batch * _BATCH_COST
 
     def nbytes(self) -> int:
-        """What the budget counts: the columns as allocated, the term map
-        and the fixed share."""
-        return (
-            sys.getsizeof(self.tids)
-            + sys.getsizeof(self.tfs)
-            + sys.getsizeof(self.ends)
-            + self.term_ids.nbytes()
-            + self.fixed_bytes()
-        )
+        """What the budget counts: the columns as allocated and the fixed share."""
+        return sys.getsizeof(self.tids) + sys.getsizeof(self.tfs) + sys.getsizeof(self.ends) + self.fixed_bytes()
 
     def add_all(self, docs) -> None:
         for doc in docs:
@@ -794,27 +771,29 @@ class _Builder:
         if self.budget is not None and self.nbytes() > self.budget:
             self._spill()
 
-    def _columns(self) -> _Columns:
+    def _order(self):
+        """The term map's terms, sorted; the id of each; the rank of each id."""
+        terms = sorted(self.term_ids)
+        ids = np.fromiter(map(self.term_ids.__getitem__, terms), np.int32, len(terms))
+        rank = np.empty(len(ids), dtype=np.int32)
+        rank[ids] = np.arange(len(ids), dtype=np.int32)
+        return terms, ids, rank
+
+    def _columns(self, rank) -> _Columns:
         """Hand the rows so far over as a sorted source and start afresh.
 
         The term-id column is rewritten in place, chunk by chunk, to ranks
-        in the sorted terms (np.bincount of the whole column would copy it
-        to int64).
+        (np.bincount of the whole column would copy it to int64).
         """
-        terms = sorted(self.term_ids)
-        rank = np.empty(len(terms), dtype=np.int32)
-        rank[np.fromiter(map(self.term_ids.__getitem__, terms), np.int64, len(terms))] = np.arange(
-            len(terms), dtype=np.int32
-        )
-        ranks = np.frombuffer(self.tids, dtype=np.int32)
-        dfs = np.zeros(len(terms), dtype=np.int64)
+        column = np.frombuffer(self.tids, dtype=np.int32)
+        dfs = np.zeros(len(rank), dtype=np.int64)
         step = _CHUNK_PER_BATCH * self.batch
-        for a in range(0, len(ranks), step):
-            chunk = ranks[a : a + step]
+        for a in range(0, len(column), step):
+            chunk = column[a : a + step]
             chunk[:] = rank[chunk]
-            dfs += np.bincount(chunk, minlength=len(terms))
+            dfs += np.bincount(chunk, minlength=len(rank))
         columns = _Columns(
-            terms, dfs, ranks, np.frombuffer(self.tfs, dtype=np.int32),
+            dfs, column, np.frombuffer(self.tfs, dtype=np.int32),
             np.frombuffer(self.ends, dtype=np.int64), self.first_doc, step,
         )
         self._reset()
@@ -828,28 +807,37 @@ class _Builder:
             self.below_fixed = True
             log.warning(
                 "memory budget of %d KiB is below its fixed share of %d KiB "
-                "(the analyzer memo and one merge batch): every document spills",
+                "(the analyzer memo, the term map and one merge batch): every document spills",
                 self.budget >> 10, -(-fixed >> 10),
             )
         path = os.path.join(self.spill_dir, f"run{len(self.run_paths):05d}.tmp")
-        log.info("spilling %d terms (~%d MB) to %s", len(self.term_ids), self.nbytes() >> 20, path)
+        size = self.nbytes()
+        _, ids, rank = self._order()
+        columns = self._columns(rank)
+        log.info("spilling %d terms (~%d MB) to %s", len(columns.ranks), size >> 20, path)
         self.run_paths.append(path)
-        _write_run(path, _batches([self._columns()], self.batch))
+        _write_run(path, _batches([columns], self.batch), ids)
 
     def batches(self):
         """(terms, df, cf, nbytes, payload) per batch of whole terms, in term order.
 
         The spill runs, in spill order, and then the rows still in memory are
         merged. Beyond _MAX_FAN_IN runs, consecutive groups are merged into
-        one run first, which keeps document order.
+        one run first, which keeps document order. The term map is dropped
+        first: the sorted terms and their ids say all it held.
         """
+        terms, ids, rank = self._order()
+        del self.term_ids
         runs = self.run_paths
         while len(runs) > _MAX_FAN_IN:
-            runs = [_merge_runs(runs[i : i + _MAX_FAN_IN], self.batch) for i in range(0, len(runs), _MAX_FAN_IN)]
+            runs = [
+                _merge_runs(runs[i : i + _MAX_FAN_IN], self.batch, rank, ids)
+                for i in range(0, len(runs), _MAX_FAN_IN)
+            ]
         with ExitStack() as stack:
-            sources = [stack.enter_context(_Run(p)) for p in runs]
-            sources.append(self._columns())
-            yield from _encoded(_batches(sources, self.batch))
+            sources = [stack.enter_context(_Run(p, rank)) for p in runs]
+            sources.append(self._columns(rank))
+            yield from _encoded(_batches(sources, self.batch), terms)
 
 
 def build_index(docs, cfg: AnalyzerConfig) -> Index:

@@ -116,8 +116,8 @@ def test_spilled_and_batched_builds_write_the_bytes_of_the_in_memory_build(tmp_p
     batches = []
     encoded = girit.index._encoded
 
-    def counted(stream):
-        for batch in encoded(stream):
+    def counted(stream, *args):
+        for batch in encoded(stream, *args):
             batches.append(len(batch[0]))
             yield batch
 

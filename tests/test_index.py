@@ -194,9 +194,9 @@ class TestPersistence:
         opened = []
         run = girit.index._Run
 
-        def counted(path):
+        def counted(path, *args):
             opened.append(path)
-            return run(path)
+            return run(path, *args)
 
         monkeypatch.setattr(girit.index, "_MAX_FAN_IN", 4)
         monkeypatch.setattr(girit.index, "_Run", counted)
@@ -205,6 +205,20 @@ class TestPersistence:
         assert _dir_bytes(tmp_path / "mem") == _dir_bytes(tmp_path / "spill")
         assert len(opened) == 60 + 15 + 4
         assert not list((tmp_path / "spill").rglob("*.tmp*"))
+
+    def test_each_term_is_numbered_once_however_often_the_build_spills(self, cfg, tmp_path, monkeypatch):
+        docs = synth_corpus(random.Random(9), 60, vocab_size=100)
+        numbered = []
+        missing = girit.index._TermIds.__missing__
+
+        def counted(term_ids, term):
+            numbered.append(term)
+            return missing(term_ids, term)
+
+        monkeypatch.setattr(girit.index._TermIds, "__missing__", counted)
+        # zero budget: a spill run per document
+        build_index_to_dir(docs, cfg, tmp_path / "spill", memory_budget_mb=0)
+        assert sorted(numbered) == sorted(Index.load(tmp_path / "spill").terms())
 
     @pytest.mark.parametrize("budget", [{"memory_budget_mb": 0}, {}], ids=["budget-0", "default-budget"])
     def test_build_to_dir_returns_the_stats_of_what_it_wrote(self, cfg, tmp_path, budget):
@@ -356,7 +370,7 @@ class TestBudget:
             assert len(messages) == 1
             assert re.fullmatch(
                 r"memory budget of 0 KiB is below its fixed share of \d+ KiB "
-                r"\(the analyzer memo and one merge batch\): every document spills",
+                r"\(the analyzer memo, the term map and one merge batch\): every document spills",
                 messages[0],
             )
 
