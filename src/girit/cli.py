@@ -220,9 +220,9 @@ def cmd_index(settings: Settings) -> int:
     cfg_analyzer = settings.analyzer()
     lenient = settings.get("lenient", False, bool)
     budget = settings.at_least("memory_budget_mb", 0, 512)
-    seen: set[str] = set()  # docids across all the files
+    seen: set[str] = set()  # docids across all the files; the builder checks against it too
     docs = (doc for f in files for doc in parse_corpus(f, lenient=lenient, seen=seen))
-    stats = build_index_to_dir(docs, cfg_analyzer, index_dir, memory_budget_mb=budget)
+    stats = build_index_to_dir(docs, cfg_analyzer, index_dir, memory_budget_mb=budget, seen=seen)
     _write_each(index_dir, {"stats.txt": stats.as_text(), "stats.csv": stats.as_csv()})
     sys.stdout.write(stats.as_text())
     sys.stdout.write(f"index written to {index_dir}\n")

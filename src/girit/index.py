@@ -30,10 +30,10 @@ import struct
 import sys
 import tempfile
 from array import array
-from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -506,20 +506,15 @@ _RUN_TABLE_READ = 64
 _MAX_FAN_IN = 128
 # rank column entries a scan or a rewrite handles at a time, per batch posting
 _CHUNK_PER_BATCH = 4
-# postings per merge batch: without a budget, and the least under one
+# postings (or column tokens) per merge batch: without a budget, and the least under one
 _MAX_BATCH = 1 << 16
 _MIN_BATCH = 1 << 10
-# peak bytes per posting of one batch's temporaries: rows, sort keys and
-# order, the int64 values, encode_varints' work arrays and the term table
-# entries read ahead (tracemalloc measured 70-130 on 10k-document builds)
+# peak bytes per posting (or column token) of a batch's temporaries; on 10k-document builds
+# tracemalloc measured 33-40 per token to count tfs (int64 keys, np.unique's
+# sorted copy, the rows) and 102 to encode (int64 values, encode_varints' work)
 _BATCH_COST = 160
 # a term id in the term map, as the allocator rounds an int object
 _INT_BYTES = 32
-
-
-def _key_dtype(count: int):
-    # a stable argsort of 16-bit keys is a radix sort
-    return np.uint16 if count <= 1 << 16 else np.int64
 
 
 class _TermIds(dict):
@@ -536,9 +531,9 @@ class _TermIds(dict):
 class _Sorted:
     """Rows sorted by term and then internal id, taken front to back a few
     terms at a time; a term is its rank in the sorted term map. `ranks` and
-    `dfs` are the term table entries read and not yet taken; `_more` reads
-    further entries (False when there are none) and `_rows` the rows of the
-    next terms."""
+    `dfs` are the term table entries read and not yet taken, `dfs` being a
+    bound that plans batches (a run's exact dfs, the columns' token counts);
+    `_more` reads further entries and `_rows` the next terms' dfs and rows."""
 
     ranks: np.ndarray
     dfs: np.ndarray
@@ -552,48 +547,49 @@ class _Sorted:
         return self.ranks[: max(1, fit)]
 
     def take(self, count: int):
-        """(ranks, dfs, rows) of the next `count` terms."""
+        """(ranks, dfs, rows) of the next `count` terms, with exact dfs."""
         ranks, self.ranks = self.ranks[:count], self.ranks[count:]
-        dfs, self.dfs = self.dfs[:count], self.dfs[count:]
-        return ranks, dfs, self._rows(ranks, int(dfs.sum()))
+        bound, self.dfs = self.dfs[:count], self.dfs[count:]
+        return (ranks, *self._rows(ranks, bound))
 
     def done(self) -> bool:
         return not self.ranks.size and not self._more()
 
 
 class _Columns(_Sorted):
-    """The builder's rows since its last spill, with term ids rewritten to
-    ranks; `dfs` counts every rank, and only those that occur are handed
-    out. The rows of a range of ranks are found by one scan over the rank
-    column, chunk by chunk, and one stable argsort, so no temporary is as
-    wide as the columns."""
+    """The builder's tokens since its last spill, with term ids rewritten to
+    ranks; `tokens` counts every rank, and only those that occur are handed
+    out. A range of ranks is found by one scan over the column, chunk by
+    chunk, so no temporary is as wide as it; one sort of the tokens' (rank,
+    document) keys then counts each key's repeats as its tf."""
 
-    def __init__(self, dfs, column, tfs, ends, first_doc, chunk):
-        self.ranks = np.flatnonzero(dfs)
-        self.dfs = dfs[self.ranks]
+    def __init__(self, tokens, column, ends, first_doc, chunk):
+        self.ranks = np.flatnonzero(tokens)
+        self.dfs = tokens[self.ranks]
         self._chunk = chunk
         self._column = column
-        self._tfs = tfs
         self._ends = ends
         self._first_doc = first_doc
 
     def _more(self) -> bool:
         return False
 
-    def _rows(self, ranks, postings):
+    def _rows(self, ranks, tokens):
         lo = int(ranks[0])
         width = int(ranks[-1]) + 1 - lo
         column, chunk = self._column, self._chunk
-        pos = np.concatenate([
+        found = (
             np.flatnonzero((column[a : a + chunk] - lo).view(np.uint32) < width) + a
             for a in range(0, len(column), chunk)
+        )
+        # rank << 32 | document per token; ascending positions make the search cheap
+        keys = np.concatenate([
+            column[pos].astype(np.int64) << 32 | np.searchsorted(self._ends, pos, side="right") + self._first_doc
+            for pos in found
         ])
-        rows = np.empty((postings, 2), dtype=np.int32)
-        # positions are still ascending here, which makes this search cheap
-        rows[:, 0] = np.searchsorted(self._ends, pos, side="right") + self._first_doc
-        rows[:, 1] = self._tfs[pos]
-        keys = (column[pos] - lo).astype(_key_dtype(width))
-        return rows[np.argsort(keys, kind="stable")]
+        keys, tfs = np.unique(keys, return_counts=True)
+        rows = np.column_stack([keys & 0xFFFFFFFF, tfs]).astype(np.int32)
+        return np.bincount((keys >> 32) - lo, minlength=width)[ranks - lo], rows
 
 
 class _Run(_Sorted):
@@ -627,10 +623,10 @@ class _Run(_Sorted):
         self._unread -= count
         return True
 
-    def _rows(self, ranks, postings):
-        rows = np.frombuffer(self._read(self._rows_at, 8 * postings), dtype=np.int32)
-        self._rows_at += 8 * postings
-        return rows.reshape(postings, 2)
+    def _rows(self, ranks, dfs):
+        rows = np.frombuffer(self._read(self._rows_at, 8 * int(dfs.sum())), dtype=np.int32)
+        self._rows_at += rows.nbytes
+        return dfs, rows.reshape(-1, 2)
 
     def __enter__(self):
         return self
@@ -661,7 +657,9 @@ def _batches(sources, limit: int):
             yield taken[0]
             continue
         ranks, keys = np.unique(np.concatenate([r for r, _, _ in taken]), return_inverse=True)
-        keys = np.repeat(keys.astype(_key_dtype(len(ranks))), np.concatenate([d for _, d, _ in taken]))
+        # a stable argsort of 16-bit keys is a radix sort
+        dtype = np.uint16 if len(ranks) <= 1 << 16 else np.int64
+        keys = np.repeat(keys.astype(dtype), np.concatenate([d for _, d, _ in taken]))
         rows = np.concatenate([r for _, _, r in taken])[np.argsort(keys, kind="stable")]
         yield ranks, np.bincount(keys, minlength=len(ranks)), rows
 
@@ -710,24 +708,25 @@ def _merge_runs(paths, limit: int, rank, ids) -> str:
 
 
 class _Builder:
-    """Accumulates postings as columns, spilling sorted runs under a byte budget.
+    """Accumulates tokens as a column, spilling sorted runs under a byte budget.
 
-    Each document appends its (term id, tf) rows to two int32 columns and
-    the end of its rows to a third. The ids number the terms of one term
-    map that lives for the whole build, so a spill run holds ids, and a
-    term is numbered once however often the builder spills.
+    Each document appends one int32 term id per token to a column and its
+    end to a second. The ids number one term map that lives for the whole
+    build, so a spill run holds ids. `seen` holds the docids: the builder's
+    own set, or the one the documents' parser fills.
     """
 
-    def __init__(self, cfg: AnalyzerConfig, budget_bytes: int | None, spill_dir: str | None):
+    def __init__(self, cfg: AnalyzerConfig, budget_bytes: int | None, spill_dir: str | None, seen=None):
         self.cfg = cfg
         self.budget = budget_bytes
         self.spill_dir = spill_dir
         self.docids: list[str] = []
         self.lengths = array("q")
         self.text_bytes = 0
-        self.seen: set[str] = set()
+        self.seen: set[str] = set() if seen is None else seen
         self.run_paths: list[str] = []
         self.term_ids = _TermIds()
+        self.sorted_terms: list[str] = []  # the term map's terms as of the last _order
         self.below_fixed = False  # warned that the fixed share exceeds the budget
         # postings per merge batch: a quarter of the budget holds its temporaries
         if budget_bytes is None:
@@ -738,18 +737,18 @@ class _Builder:
 
     def _reset(self) -> None:
         self.tids = array("i")
-        self.tfs = array("i")
         self.ends = array("q")
         self.first_doc = len(self.docids)
 
     def fixed_bytes(self) -> int:
         """The share of the budget no spill frees: the analyzer memo, the
-        term map and the temporaries of one merge batch."""
-        return memo_bytes(self.cfg) + self.term_ids.nbytes() + self.batch * _BATCH_COST
+        term map and its sorted terms, and the temporaries of one merge batch."""
+        terms = self.term_ids.nbytes() + sys.getsizeof(self.sorted_terms)
+        return memo_bytes(self.cfg) + terms + self.batch * _BATCH_COST
 
     def nbytes(self) -> int:
         """What the budget counts: the columns as allocated and the fixed share."""
-        return sys.getsizeof(self.tids) + sys.getsizeof(self.tfs) + sys.getsizeof(self.ends) + self.fixed_bytes()
+        return sys.getsizeof(self.tids) + sys.getsizeof(self.ends) + self.fixed_bytes()
 
     def add_all(self, docs) -> None:
         for doc in docs:
@@ -758,22 +757,24 @@ class _Builder:
             raise EmptyCollectionError("empty collection: average document length undefined")
 
     def add(self, doc: RawDocument) -> None:
-        if doc.docid in self.seen:
+        self.seen.add(doc.docid)  # a shared set holds it already, as the parser added it
+        if len(self.seen) <= len(self.docids):
             raise CorpusError("duplicate docid", docid=doc.docid)
-        self.seen.add(doc.docid)
         self.docids.append(doc.docid)
         self.text_bytes += len(doc.text.encode("utf-8"))
-        counts = Counter(analyze(doc.text, self.cfg))
-        self.lengths.append(counts.total())
-        self.tids += array("i", list(map(self.term_ids.__getitem__, counts)))
-        self.tfs += array("i", list(counts.values()))
+        terms = analyze(doc.text, self.cfg)
+        self.lengths.append(len(terms))
+        self.tids += array("i", list(map(self.term_ids.__getitem__, terms)))
         self.ends.append(len(self.tids))
         if self.budget is not None and self.nbytes() > self.budget:
             self._spill()
 
     def _order(self):
-        """The term map's terms, sorted; the id of each; the rank of each id."""
-        terms = sorted(self.term_ids)
+        """The term map's terms, sorted; the id of each; the rank of each id.
+        Only terms numbered since the last call are sorted, then merged in."""
+        terms = self.sorted_terms
+        terms += sorted(islice(self.term_ids, len(terms), None))
+        terms.sort()
         ids = np.fromiter(map(self.term_ids.__getitem__, terms), np.int32, len(terms))
         rank = np.empty(len(ids), dtype=np.int32)
         rank[ids] = np.arange(len(ids), dtype=np.int32)
@@ -786,16 +787,13 @@ class _Builder:
         (np.bincount of the whole column would copy it to int64).
         """
         column = np.frombuffer(self.tids, dtype=np.int32)
-        dfs = np.zeros(len(rank), dtype=np.int64)
+        tokens = np.zeros(len(rank), dtype=np.int64)
         step = _CHUNK_PER_BATCH * self.batch
         for a in range(0, len(column), step):
             chunk = column[a : a + step]
             chunk[:] = rank[chunk]
-            dfs += np.bincount(chunk, minlength=len(rank))
-        columns = _Columns(
-            dfs, column, np.frombuffer(self.tfs, dtype=np.int32),
-            np.frombuffer(self.ends, dtype=np.int64), self.first_doc, step,
-        )
+            tokens += np.bincount(chunk, minlength=len(rank))
+        columns = _Columns(tokens, column, np.frombuffer(self.ends, dtype=np.int64), self.first_doc, step)
         self._reset()
         return columns
 
@@ -855,17 +853,18 @@ def build_index(docs, cfg: AnalyzerConfig) -> Index:
     return Index(cfg, DocTable(builder.docids, builder.lengths), terms, table, bytes(payload))
 
 
-def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: int = 512) -> CorpusStats:
+def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: int = 512, seen=None) -> CorpusStats:
     """Stream-build an index into `directory` under a memory budget.
 
     Returns the statistics of what was written, counted while building; the
     directory is not read back. Produces byte-identical files to
     build_index(...).persist(directory) for the same documents, regardless of
-    how many spill runs were needed.
+    how many spill runs were needed. `seen` may be the set that
+    `parse_corpus` fills as it yields `docs`, so the docids are held once.
     """
     os.makedirs(directory, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".build.", dir=directory) as spill_dir:
-        builder = _Builder(cfg, budget_bytes=memory_budget_mb << 20, spill_dir=spill_dir)
+        builder = _Builder(cfg, budget_bytes=memory_budget_mb << 20, spill_dir=spill_dir, seen=seen)
         builder.add_all(docs)
         vocabulary = _write_index(directory, cfg, builder.docids, builder.lengths, builder.batches())
     return CorpusStats(

@@ -380,7 +380,7 @@ def test_c7_scale_smoke(tmp_path):
     The first build runs as a child process, and its measured peak RSS stays
     within the 256 MiB budget plus a fixed 48 MiB: about 34 MiB of that is
     the interpreter and its imports (numpy among them), the rest is what the
-    budget does not count (the docids, their seen sets, the lengths)."""
+    budget does not count (the docids, their seen set, the lengths)."""
     with _criterion("C7 scale smoke (100k docs, ~50M tokens)"):
         corpus_path = tmp_path / "corpus.trec"
         t0 = time.time()

@@ -16,7 +16,7 @@ import girit.analysis
 import girit.index
 from girit.analysis import AnalyzerConfig, analyze
 from girit.cli import main
-from girit.corpus import RawDocument, corpus_stats
+from girit.corpus import RawDocument, corpus_stats, parse_corpus, write_corpus
 from girit.errors import CorpusError, EmptyCollectionError, IndexStoreError
 from girit.index import (
     DOCTABLE_FILE,
@@ -54,6 +54,20 @@ class TestBuild:
     def test_duplicate_docid_rejected(self, cfg):
         with pytest.raises(CorpusError, match="duplicate docid"):
             build_index([RawDocument("d1", "a"), RawDocument("d1", "b")], cfg)
+
+    def test_a_term_repeated_past_65536_times_in_one_document_keeps_its_tf(self, cfg, tmp_path):
+        docs = [
+            RawDocument("d1", "b"),
+            RawDocument("d2", "aa " * 70_000 + "b"),
+            RawDocument("d3", "b aa"),
+        ]
+        index = build_index(docs, cfg)
+        aa = index.lookup("aa")
+        assert aa.pairs() == [(1, 70_000), (2, 1)]
+        assert (aa.df, aa.cf) == (2, 70_001)
+        index.persist(tmp_path / "mem")
+        build_index_to_dir(docs, cfg, tmp_path / "spill", memory_budget_mb=0)
+        assert _dir_bytes(tmp_path / "mem") == _dir_bytes(tmp_path / "spill")
 
     def test_lookup_unknown_term_is_absent(self, cfg):
         index = build_index(TWO_DOCS, cfg)
@@ -220,6 +234,24 @@ class TestPersistence:
         build_index_to_dir(docs, cfg, tmp_path / "spill", memory_budget_mb=0)
         assert sorted(numbered) == sorted(Index.load(tmp_path / "spill").terms())
 
+    def test_a_seen_set_shared_with_the_parser_gives_no_false_duplicate(self, cfg, tmp_path):
+        docs = synth_corpus(random.Random(11), 120, vocab_size=200)
+        paths = [tmp_path / "one.trec", tmp_path / "two.trec"]
+        write_corpus(docs[:70], paths[0])
+        write_corpus(docs[70:], paths[1])
+        seen: set[str] = set()
+        parsed = (doc for path in paths for doc in parse_corpus(path, seen=seen))
+        stats = build_index_to_dir(parsed, cfg, tmp_path / "idx", memory_budget_mb=0, seen=seen)
+        assert stats.num_documents == 120
+        assert seen == {d.docid for d in docs}
+        build_index(docs, cfg).persist(tmp_path / "mem")
+        assert _dir_bytes(tmp_path / "mem") == _dir_bytes(tmp_path / "idx")
+
+    def test_a_seen_set_the_parser_did_not_fill_still_catches_a_duplicate(self, cfg, tmp_path):
+        seen: set[str] = set()
+        with pytest.raises(CorpusError, match="duplicate docid"):
+            build_index_to_dir([RawDocument("d1", "a"), RawDocument("d1", "b")], cfg, tmp_path / "idx", seen=seen)
+
     @pytest.mark.parametrize("budget", [{"memory_budget_mb": 0}, {}], ids=["budget-0", "default-budget"])
     def test_build_to_dir_returns_the_stats_of_what_it_wrote(self, cfg, tmp_path, budget):
         docs = synth_corpus(random.Random(13), 150, vocab_size=200)
@@ -354,6 +386,19 @@ class TestBudget:
         finally:
             tracemalloc.stop()
         assert peak <= (1 << 20) + (256 << 10)
+
+    def test_the_columns_cost_four_bytes_per_token_and_eight_per_document(self, cfg):
+        """What the budget counts beyond its fixed share: one int32 term id
+        per token and one int64 end per document, with the slack arrays
+        leave when they grow. Most tokens here are distinct in their
+        document, so a (term id, tf) row per distinct term would cost twice
+        as much."""
+        docs = [RawDocument(f"d{i}", " ".join(f"t{i}x{j % 190}" for j in range(200))) for i in range(300)]
+        builder = girit.index._Builder(cfg, budget_bytes=None, spill_dir=None)
+        builder.add_all(docs)
+        tokens = sum(builder.lengths)
+        assert tokens == 60_000
+        assert builder.nbytes() - builder.fixed_bytes() <= 1.125 * (4 * tokens + 8 * len(docs)) + 256
 
     @pytest.mark.parametrize("budget_mb", [0, 1])
     def test_a_budget_below_the_fixed_share_warns_once(self, cfg, tmp_path, caplog, monkeypatch, budget_mb):
