@@ -21,6 +21,10 @@ ZWJ = "‍"
 _JOINERS = (ZWNJ, ZWJ)
 
 
+# the forms unicodedata.normalize accepts
+UNICODE_FORMS = ("NFC", "NFD", "NFKC", "NFKD")
+
+
 @dataclass(frozen=True)
 class AnalyzerConfig:
     lowercase_latin: bool = True

@@ -14,9 +14,10 @@ import logging
 import os
 import sys
 from contextlib import ExitStack
+from dataclasses import replace
 from pathlib import Path
 
-from .analysis import AnalyzerConfig, load_stopwords
+from .analysis import UNICODE_FORMS, AnalyzerConfig, load_stopwords
 from .corpus import parse_corpus
 from .errors import (
     AnalyzerMismatchError,
@@ -131,22 +132,17 @@ class Settings:
         return Path(path)
 
     def analyzer(self) -> AnalyzerConfig:
+        form = self.get("unicode_form", "NFC")
+        if form not in UNICODE_FORMS:
+            raise ConfigError(f"--unicode-form: must be one of {', '.join(UNICODE_FORMS)}, got {form!r}")
+        base = AnalyzerConfig(lowercase_latin=self.get("lowercase", True, bool), unicode_normalization=form)
         stopwords = frozenset()
         stopword_path = self.get("stopwords")
         if stopword_path:
             if not os.path.exists(stopword_path):
                 raise ConfigError(f"stopword file does not exist: {stopword_path}")
-            base = AnalyzerConfig(
-                lowercase_latin=self.get("lowercase", True, bool),
-                unicode_normalization=self.get("unicode_form", "NFC"),
-            )
             stopwords = load_stopwords(stopword_path, base)
-        return AnalyzerConfig(
-            lowercase_latin=self.get("lowercase", True, bool),
-            unicode_normalization=self.get("unicode_form", "NFC"),
-            stopword_list=stopwords,
-            min_token_length=self.get("min_token_length", 1, int),
-        )
+        return replace(base, stopword_list=stopwords, min_token_length=self.at_least("min_token_length", 0, 1))
 
     def model_params(self) -> ModelParams:
         try:

@@ -37,7 +37,7 @@ from itertools import islice
 
 import numpy as np
 
-from .analysis import AnalyzerConfig, analyze, memo_bytes
+from .analysis import UNICODE_FORMS, AnalyzerConfig, analyze, memo_bytes
 from .corpus import CorpusStats, RawDocument
 from .errors import CorpusError, EmptyCollectionError, IndexStoreError
 from .util import (
@@ -147,6 +147,8 @@ class Index:
         self._lexicon = dict(zip(terms, range(len(terms))))
         self._table = table
         self._buf = postings
+        # named by a posting block's error; `load` gives the file's path
+        self._postings_path = POSTINGS_FILE
         # term -> decoded posting list; empty except in a `holding` view
         self._held: dict[str, PostingList] = {}
         total = int(self.doc_table.lengths.sum()) if len(doc_table) else 0
@@ -196,8 +198,18 @@ class Index:
         if row is None:
             return None
         df, _cf, offset, nbytes = self._table[row].tolist()
-        pairs = decode_varints(self._buf, offset, 2 * df, nbytes).reshape(df, 2)
-        return PostingList(term, np.cumsum(pairs[:, 0]), pairs[:, 1])
+        values = decode_varints(self._buf, offset, 2 * df, nbytes)
+        gaps, tfs = values[0::2], values[1::2]
+        ids = np.cumsum(gaps)
+        # no value after the first gap is 0; no build writes one of 2^31 or
+        # more, and below that no sum of gaps overflows
+        n = self.stats.num_docs
+        if df and (ids[-1] >= n or np.count_nonzero(values[1:]) < 2 * df - 1 or values.max() >> 31):
+            raise IndexStoreError(
+                f"{self._postings_path}: posting block of term {term!r} at byte offset {offset}: "
+                + _block_fault(gaps, tfs, ids, n)
+            )
+        return PostingList(term, ids, tfs)
 
     # -- persistence --------------------------------------------------------
 
@@ -224,11 +236,23 @@ class Index:
         if len(terms) != header["vocabulary_size"]:
             raise IndexStoreError(f"{directory}: lexicon does not match header")
 
-        postings_buf = read_checksummed(os.path.join(directory, POSTINGS_FILE))
-        index = cls(cfg, DocTable(docids, lengths[:, 0]), terms, table, postings_buf)
+        path = os.path.join(directory, POSTINGS_FILE)
+        index = cls(cfg, DocTable(docids, lengths[:, 0]), terms, table, read_checksummed(path))
+        index._postings_path = path
         if index.stats.total_tokens != header["total_tokens"]:
             raise IndexStoreError(f"{directory}: token count does not match header")
         return index
+
+
+def _block_fault(gaps, tfs, ids, n: int) -> str:
+    """What is wrong with a decoded posting block that fails Index._decode's check."""
+    if gaps.max() >= n or ids[-1] >= n:
+        return f"internal ids run past the last document, {n - 1}"
+    if gaps[1:].min(initial=1) == 0:
+        return f"internal id {ids[np.argmin(gaps[1:])]} is listed twice"
+    if tfs.min() == 0:
+        return f"internal id {ids[np.argmin(tfs)]} has a tf of 0"
+    return f"a tf of {tfs.max()} is more than any build writes"
 
 
 # candidate records, or payload bytes, a step of _read_records handles at a time
@@ -473,6 +497,8 @@ def _read_header(directory) -> dict:
                 raise IndexStoreError(f"{path}: key {prefix + key!r} is missing or not of type {kind.__name__}")
     if not all(isinstance(word, str) for word in header["analyzer"]["stopwords"]):
         raise IndexStoreError(f"{path}: key 'analyzer.stopwords' must hold strings")
+    if header["analyzer"]["unicode_normalization"] not in UNICODE_FORMS:
+        raise IndexStoreError(f"{path}: key 'analyzer.unicode_normalization' must be one of {', '.join(UNICODE_FORMS)}")
     return header
 
 
@@ -496,23 +522,24 @@ def read_config(directory) -> AnalyzerConfig:
     return _config_from_header(_read_header(directory))
 
 
-# A spill run file: this header (terms, rows); the rows as (internal id, tf)
+# A run file: this header (terms, rows); the rows as (internal id, tf)
 # int32 pairs, by term and then by id; then the term table as (term id, df)
 # int32 pairs, in term order. Term ids number the builder's term map.
 _RUN_HEADER = struct.Struct("<QQ")
-# term table entries read from a spill run at a time
+# term table entries read from a run at a time
 _RUN_TABLE_READ = 64
-# spill runs read at once by a merge; far below common open-file limits
+# runs read at once by a merge; far below common open-file limits
 _MAX_FAN_IN = 128
-# rank column entries a scan or a rewrite handles at a time, per batch posting
-_CHUNK_PER_BATCH = 4
-# postings (or column tokens) per merge batch: without a budget, and the least under one
+# postings per merge batch: the most (a budget of 40 MiB or more), and the least
 _MAX_BATCH = 1 << 16
 _MIN_BATCH = 1 << 10
-# peak bytes per posting (or column token) of a batch's temporaries; on 10k-document builds
-# tracemalloc measured 33-40 per token to count tfs (int64 keys, np.unique's
-# sorted copy, the rows) and 102 to encode (int64 values, encode_varints' work)
+# peak bytes per posting of a batch's temporaries; on 10k-document builds
+# tracemalloc measured 102 to encode (int64 values, encode_varints' work)
 _BATCH_COST = 160
+# merge batches of tokens per slice that a flush sorts; on the 10k-document
+# build tracemalloc measured 36 bytes per token of a slice's temporaries (int64
+# keys, np.unique's sorted copy, the rows), so a slice fits one batch's share
+_SLICE_BATCHES = 2
 # a term id in the term map, as the allocator rounds an int object
 _INT_BYTES = 32
 
@@ -528,72 +555,11 @@ class _TermIds(dict):
         return sys.getsizeof(self) + _INT_BYTES * len(self)
 
 
-class _Sorted:
-    """Rows sorted by term and then internal id, taken front to back a few
-    terms at a time; a term is its rank in the sorted term map. `ranks` and
-    `dfs` are the term table entries read and not yet taken, `dfs` being a
-    bound that plans batches (a run's exact dfs, the columns' token counts);
-    `_more` reads further entries and `_rows` the next terms' dfs and rows."""
-
-    ranks: np.ndarray
-    dfs: np.ndarray
-
-    def peek(self, limit: int) -> np.ndarray:
-        """The next ranks: as many as fit in `limit` postings, at least one."""
-        cum = np.cumsum(self.dfs)
-        while (not cum.size or cum[-1] < limit) and self._more():
-            cum = np.cumsum(self.dfs)
-        fit = int(np.searchsorted(cum, limit, side="right"))
-        return self.ranks[: max(1, fit)]
-
-    def take(self, count: int):
-        """(ranks, dfs, rows) of the next `count` terms, with exact dfs."""
-        ranks, self.ranks = self.ranks[:count], self.ranks[count:]
-        bound, self.dfs = self.dfs[:count], self.dfs[count:]
-        return (ranks, *self._rows(ranks, bound))
-
-    def done(self) -> bool:
-        return not self.ranks.size and not self._more()
-
-
-class _Columns(_Sorted):
-    """The builder's tokens since its last spill, with term ids rewritten to
-    ranks; `tokens` counts every rank, and only those that occur are handed
-    out. A range of ranks is found by one scan over the column, chunk by
-    chunk, so no temporary is as wide as it; one sort of the tokens' (rank,
-    document) keys then counts each key's repeats as its tf."""
-
-    def __init__(self, tokens, column, ends, first_doc, chunk):
-        self.ranks = np.flatnonzero(tokens)
-        self.dfs = tokens[self.ranks]
-        self._chunk = chunk
-        self._column = column
-        self._ends = ends
-        self._first_doc = first_doc
-
-    def _more(self) -> bool:
-        return False
-
-    def _rows(self, ranks, tokens):
-        lo = int(ranks[0])
-        width = int(ranks[-1]) + 1 - lo
-        column, chunk = self._column, self._chunk
-        found = (
-            np.flatnonzero((column[a : a + chunk] - lo).view(np.uint32) < width) + a
-            for a in range(0, len(column), chunk)
-        )
-        # rank << 32 | document per token; ascending positions make the search cheap
-        keys = np.concatenate([
-            column[pos].astype(np.int64) << 32 | np.searchsorted(self._ends, pos, side="right") + self._first_doc
-            for pos in found
-        ])
-        keys, tfs = np.unique(keys, return_counts=True)
-        rows = np.column_stack([keys & 0xFFFFFFFF, tfs]).astype(np.int32)
-        return np.bincount((keys >> 32) - lo, minlength=width)[ranks - lo], rows
-
-
-class _Run(_Sorted):
-    """A spill run file, read front to back; `rank` maps its term ids to ranks."""
+class _Run:
+    """A run file's rows, sorted by term and then internal id, taken front to
+    back a few terms at a time. `rank` maps the file's term ids to ranks in
+    the sorted term map; `ranks` and `dfs` are the term table entries read
+    and not yet taken."""
 
     def __init__(self, path, rank):
         self._fh = open(path, "rb")
@@ -604,6 +570,25 @@ class _Run(_Sorted):
         self._unread = nterms
         self.ranks = np.empty(0, dtype=rank.dtype)
         self.dfs = np.empty(0, dtype=np.int64)
+
+    def peek(self, limit: int) -> np.ndarray:
+        """The next ranks: as many as fit in `limit` postings, at least one."""
+        cum = np.cumsum(self.dfs)
+        while (not cum.size or cum[-1] < limit) and self._more():
+            cum = np.cumsum(self.dfs)
+        fit = int(np.searchsorted(cum, limit, side="right"))
+        return self.ranks[: max(1, fit)]
+
+    def take(self, count: int):
+        """(ranks, dfs, rows) of the next `count` terms."""
+        ranks, self.ranks = self.ranks[:count], self.ranks[count:]
+        dfs, self.dfs = self.dfs[:count], self.dfs[count:]
+        rows = np.frombuffer(self._read(self._rows_at, 8 * int(dfs.sum())), dtype=np.int32)
+        self._rows_at += rows.nbytes
+        return ranks, dfs, rows.reshape(-1, 2)
+
+    def done(self) -> bool:
+        return not self.ranks.size and not self._more()
 
     def _read(self, at: int, size: int) -> bytes:
         self._fh.seek(at)
@@ -622,11 +607,6 @@ class _Run(_Sorted):
         self._table_at += 8 * count
         self._unread -= count
         return True
-
-    def _rows(self, ranks, dfs):
-        rows = np.frombuffer(self._read(self._rows_at, 8 * int(dfs.sum())), dtype=np.int32)
-        self._rows_at += rows.nbytes
-        return dfs, rows.reshape(-1, 2)
 
     def __enter__(self):
         return self
@@ -681,7 +661,7 @@ def _encoded(batches, terms: list[str]):
 
 
 def _write_run(path, batches, ids) -> None:
-    """Write (ranks, dfs, rows) batches as a spill run, a rank r as the term
+    """Write (ranks, dfs, rows) batches as a run, a rank r as the term
     id ids[r]; the term table is kept in memory until the rows are written."""
     table = []
     nrows = 0
@@ -697,26 +677,34 @@ def _write_run(path, batches, ids) -> None:
         fh.write(_RUN_HEADER.pack(sum(map(len, table)), nrows))
 
 
-def _merge_runs(paths, limit: int, rank, ids) -> str:
-    """Merge consecutive spill runs into one run file; the inputs are removed."""
-    path = paths[0] + ".merged"
-    with ExitStack() as stack:
-        _write_run(path, _batches([stack.enter_context(_Run(p, rank)) for p in paths], limit), ids)
-    for p in paths:
-        os.unlink(p)
-    return path
+def _merge_runs(paths, most: int, limit: int, rank, ids) -> list[str]:
+    """Merge consecutive runs in groups of _MAX_FAN_IN until at most `most`
+    are left, which keeps document order; merged inputs are removed."""
+    while len(paths) > most:
+        merged = []
+        for i in range(0, len(paths), _MAX_FAN_IN):
+            group = paths[i : i + _MAX_FAN_IN]
+            merged.append(group[0] + ".merged")
+            with ExitStack() as stack:
+                _write_run(merged[-1], _batches([stack.enter_context(_Run(p, rank)) for p in group], limit), ids)
+            for p in group:
+                os.unlink(p)
+        paths = merged
+    return paths
 
 
 class _Builder:
-    """Accumulates tokens as a column, spilling sorted runs under a byte budget.
+    """Accumulates tokens as a column and writes them out as sorted runs.
 
     Each document appends one int32 term id per token to a column and its
     end to a second. The ids number one term map that lives for the whole
-    build, so a spill run holds ids. `seen` holds the docids: the builder's
-    own set, or the one the documents' parser fills.
+    build, so a run holds ids. A flush (a spill each time the budget is
+    passed, and one last flush before the merge) sorts the column into one
+    run in `spill_dir`, and only runs are merged. `seen` holds the docids:
+    the builder's own set, or the one the documents' parser fills.
     """
 
-    def __init__(self, cfg: AnalyzerConfig, budget_bytes: int | None, spill_dir: str | None, seen=None):
+    def __init__(self, cfg: AnalyzerConfig, budget_bytes: int, spill_dir: str, seen=None):
         self.cfg = cfg
         self.budget = budget_bytes
         self.spill_dir = spill_dir
@@ -729,10 +717,7 @@ class _Builder:
         self.sorted_terms: list[str] = []  # the term map's terms as of the last _order
         self.below_fixed = False  # warned that the fixed share exceeds the budget
         # postings per merge batch: a quarter of the budget holds its temporaries
-        if budget_bytes is None:
-            self.batch = _MAX_BATCH
-        else:
-            self.batch = min(_MAX_BATCH, max(_MIN_BATCH, budget_bytes // 4 // _BATCH_COST))
+        self.batch = min(_MAX_BATCH, max(_MIN_BATCH, budget_bytes // 4 // _BATCH_COST))
         self._reset()
 
     def _reset(self) -> None:
@@ -742,7 +727,8 @@ class _Builder:
 
     def fixed_bytes(self) -> int:
         """The share of the budget no spill frees: the analyzer memo, the
-        term map and its sorted terms, and the temporaries of one merge batch."""
+        term map and its sorted terms, and the temporaries of one merge
+        batch (or of one slice, which fits the same share)."""
         terms = self.term_ids.nbytes() + sys.getsizeof(self.sorted_terms)
         return memo_bytes(self.cfg) + terms + self.batch * _BATCH_COST
 
@@ -766,7 +752,7 @@ class _Builder:
         self.lengths.append(len(terms))
         self.tids += array("i", list(map(self.term_ids.__getitem__, terms)))
         self.ends.append(len(self.tids))
-        if self.budget is not None and self.nbytes() > self.budget:
+        if self.nbytes() > self.budget:
             self._spill()
 
     def _order(self):
@@ -780,22 +766,39 @@ class _Builder:
         rank[ids] = np.arange(len(ids), dtype=np.int32)
         return terms, ids, rank
 
-    def _columns(self, rank) -> _Columns:
-        """Hand the rows so far over as a sorted source and start afresh.
+    def _flush(self, ids, rank) -> None:
+        """Sort the tokens since the last flush into one run and start afresh.
 
-        The term-id column is rewritten in place, chunk by chunk, to ranks
-        (np.bincount of the whole column would copy it to int64).
+        The column is cut into slices of whole documents, each about
+        _SLICE_BATCHES merge batches of tokens; a longer document is a slice
+        of its own. One np.unique of a slice's rank << 32 | document keys
+        sorts its postings and counts each key's repeats as its tf. Each
+        slice is written as a run, and the slices are merged into one.
         """
         column = np.frombuffer(self.tids, dtype=np.int32)
-        tokens = np.zeros(len(rank), dtype=np.int64)
-        step = _CHUNK_PER_BATCH * self.batch
-        for a in range(0, len(column), step):
-            chunk = column[a : a + step]
-            chunk[:] = rank[chunk]
-            tokens += np.bincount(chunk, minlength=len(rank))
-        columns = _Columns(tokens, column, np.frombuffer(self.ends, dtype=np.int64), self.first_doc, step)
+        ends = np.frombuffer(self.ends, dtype=np.int64)
+        stem = os.path.join(self.spill_dir, f"run{len(self.run_paths):05d}")
+        size = _SLICE_BATCHES * self.batch
+        slices = []
+        a = d = 0  # the next slice's first token and first document
+        while a < len(column):
+            # the documents that end within `size` tokens, or else the first with tokens
+            first, fit = np.searchsorted(ends, [a, a + size], side="right").tolist()
+            e = max(fit, first + 1)
+            b = int(ends[e - 1])
+            keys = rank[column[a:b]].astype(np.int64)
+            keys <<= 32
+            keys |= np.repeat(np.arange(self.first_doc + d, self.first_doc + e), np.diff(ends[d:e], prepend=a))
+            keys, tfs = np.unique(keys, return_counts=True)
+            ranks, dfs = np.unique(keys >> 32, return_counts=True)
+            rows = np.column_stack([keys & 0xFFFFFFFF, tfs]).astype(np.int32)
+            del keys, tfs
+            slices.append(f"{stem}.{len(slices):05d}.tmp")
+            _write_run(slices[-1], [(ranks, dfs, rows)], ids)
+            a, d = b, e
+        del column, ends
         self._reset()
-        return columns
+        self.run_paths += _merge_runs(slices, 1, self.batch, rank, ids)
 
     def _spill(self) -> None:
         if not self.tids:
@@ -808,59 +811,46 @@ class _Builder:
                 "(the analyzer memo, the term map and one merge batch): every document spills",
                 self.budget >> 10, -(-fixed >> 10),
             )
-        path = os.path.join(self.spill_dir, f"run{len(self.run_paths):05d}.tmp")
-        size = self.nbytes()
+        log.info(
+            "spilling %d tokens of %d documents (~%d MB) to run %d",
+            len(self.tids), len(self.ends), self.nbytes() >> 20, len(self.run_paths),
+        )
         _, ids, rank = self._order()
-        columns = self._columns(rank)
-        log.info("spilling %d terms (~%d MB) to %s", len(columns.ranks), size >> 20, path)
-        self.run_paths.append(path)
-        _write_run(path, _batches([columns], self.batch), ids)
+        self._flush(ids, rank)
 
     def batches(self):
         """(terms, df, cf, nbytes, payload) per batch of whole terms, in term order.
 
-        The spill runs, in spill order, and then the rows still in memory are
-        merged. Beyond _MAX_FAN_IN runs, consecutive groups are merged into
-        one run first, which keeps document order. The term map is dropped
-        first: the sorted terms and their ids say all it held.
+        The term map is dropped first: the sorted terms and their ids say all
+        it held. The last flush writes the tokens still in memory as a run,
+        and the runs are merged in flush order; beyond _MAX_FAN_IN runs,
+        consecutive groups are merged into one run first.
         """
         terms, ids, rank = self._order()
         del self.term_ids
-        runs = self.run_paths
-        while len(runs) > _MAX_FAN_IN:
-            runs = [
-                _merge_runs(runs[i : i + _MAX_FAN_IN], self.batch, rank, ids)
-                for i in range(0, len(runs), _MAX_FAN_IN)
-            ]
+        self._flush(ids, rank)
+        runs = _merge_runs(self.run_paths, _MAX_FAN_IN, self.batch, rank, ids)
         with ExitStack() as stack:
             sources = [stack.enter_context(_Run(p, rank)) for p in runs]
-            sources.append(self._columns(rank))
             yield from _encoded(_batches(sources, self.batch), terms)
 
 
 def build_index(docs, cfg: AnalyzerConfig) -> Index:
-    """In-memory index over `docs`; deterministic for a fixed input order."""
-    builder = _Builder(cfg, budget_bytes=None, spill_dir=None)
-    builder.add_all(docs)
-    terms: list[str] = []
-    rows = []
-    payload = bytearray()
-    for batch, df, cf, nbytes, block in builder.batches():
-        terms += batch
-        rows.append(np.column_stack([df, cf, len(payload) + np.cumsum(nbytes) - nbytes, nbytes]))
-        payload += block
-    table = np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
-    return Index(cfg, DocTable(builder.docids, builder.lengths), terms, table, bytes(payload))
+    """An index over `docs`, built into a temporary directory and loaded;
+    deterministic for a fixed input order."""
+    with tempfile.TemporaryDirectory(prefix="girit-") as directory:
+        build_index_to_dir(docs, cfg, directory)
+        return Index.load(directory)
 
 
 def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: int = 512, seen=None) -> CorpusStats:
     """Stream-build an index into `directory` under a memory budget.
 
     Returns the statistics of what was written, counted while building; the
-    directory is not read back. Produces byte-identical files to
-    build_index(...).persist(directory) for the same documents, regardless of
-    how many spill runs were needed. `seen` may be the set that
-    `parse_corpus` fills as it yields `docs`, so the docids are held once.
+    directory is not read back. The files are the same whatever the budget
+    and however many spill runs it took. The runs live in a `.build.*`
+    directory inside `directory` until the build ends. `seen` may be the set
+    that `parse_corpus` fills as it yields `docs`, so the docids are held once.
     """
     os.makedirs(directory, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".build.", dir=directory) as spill_dir:

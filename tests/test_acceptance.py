@@ -422,7 +422,8 @@ def test_c7_scale_smoke(tmp_path):
         run_files = list((tmp_path / "runs1").glob("*.run"))
         assert len(run_files) == 21
         for f in run_files:
-            assert sum(1 for _ in open(f, encoding="utf-8")) == 50 * 1000
+            with open(f, encoding="utf-8") as fh:
+                assert sum(1 for _ in fh) == 50 * 1000
 
         t0 = time.time()
         assert cli_main([

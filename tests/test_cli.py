@@ -14,9 +14,9 @@ from girit.cli import main
 from girit.corpus import CorpusStats, corpus_stats, parse_corpus, write_corpus
 from girit.index import Index, read_config
 from girit.models import MODEL_IDS
-from girit.retrieval import parse_topics, write_topics
+from girit.retrieval import Topic, parse_topics, write_topics
 from girit.synth import synth_experiment
-from girit.util import checksum64
+from girit.util import checksum64, decode_varints, encode_varints, read_checksummed, write_checksummed
 
 
 def run_cli(*args):
@@ -651,10 +651,16 @@ def test_broken_gzip_corpus_file_is_a_data_error_naming_the_file(damage, tmp_pat
         (("expand", "--max-synonyms-per-term", -1), "max_synonyms_per_term must be >= 0"),
         (("index", "--memory-budget-mb", -1), "--memory-budget-mb: must be at least 0, got -1"),
         (("verify", "--instances", 0), "--instances: must be at least 1, got 0"),
+        (("index", "--unicode-form", "XYZ"), "--unicode-form: must be one of NFC, NFD, NFKC, NFKD, got 'XYZ'"),
+        (("expand", "--unicode-form", "nfc"), "--unicode-form: must be one of NFC, NFD, NFKC, NFKD, got 'nfc'"),
+        (("index", "--config", "unicode_form=XYZ"), "--unicode-form: must be one of NFC, NFD, NFKC, NFKD, got 'XYZ'"),
+        (("index", "--min-token-length", -3), "--min-token-length: must be at least 0, got -3"),
+        (("expand", "--config", "min_token_length=-1"), "--min-token-length: must be at least 0, got -1"),
     ],
     ids=["run-cutoff-0", "run-cutoff-negative", "eval-cutoff-0", "config-fields-X",
          "expand-max-added-negative", "expand-max-synonyms-negative", "index-budget-negative",
-         "verify-no-instances"],
+         "verify-no-instances", "index-unicode-form-XYZ", "expand-unicode-form-lowercase",
+         "config-unicode-form-XYZ", "index-min-token-length-negative", "config-min-token-length-negative"],
 )
 def test_out_of_range_option_is_a_validation_error_naming_it(command, option, fixture_dir, workspace, tmp_path, capsys):
     name, flag, value = command
@@ -688,3 +694,53 @@ def test_index_header_missing_a_key_is_a_data_error_naming_it(workspace, fixture
                    "--output-dir", tmp_path / "runs")
     assert code == 2
     assert f"error: {idx / 'header.json'}: key 'num_documents' is missing or not of type int" in capsys.readouterr().err
+
+
+def _last_id_past_the_end(gaps, tfs, n):
+    gaps[-1] += n - gaps.sum()
+
+
+def _a_gap_of_zero(gaps, tfs, n):
+    gaps[1] = 0
+
+
+def _a_tf_of_zero(gaps, tfs, n):
+    tfs[0] = 0
+
+
+@pytest.mark.parametrize(
+    "damage, fault",
+    [
+        (_last_id_past_the_end, "internal ids run past the last document, 199"),
+        (_a_gap_of_zero, "is listed twice"),
+        (_a_tf_of_zero, "has a tf of 0"),
+    ],
+    ids=["id-past-the-end", "gap-of-0", "tf-of-0"],
+)
+def test_a_resealed_posting_block_with_impossible_values_is_a_data_error(damage, fault, tmp_path, capsys):
+    """A posting block rewritten in place and re-sealed with a valid checksum
+    passes the checksum; its values must still name the file, the term and
+    the block when every model ranks a topic of that term."""
+    # the corpus of `scripts/make_corpus.py fixture`: "bgdumare" is in 199 of its 200 documents
+    exp = synth_experiment(random.Random(7), num_docs=200, num_topics=8)
+    write_corpus(exp.docs, tmp_path / "corpus.trec")
+    idx = tmp_path / "idx"
+    assert run_cli("index", "--corpus", tmp_path / "corpus.trec", "--index-dir", idx) == 0
+    index = Index.load(idx)
+    df, _cf, offset, nbytes = index._table[index._lexicon["bgdumare"]].tolist()
+    assert df == 199
+    payload = bytearray(read_checksummed(idx / "postings.bin"))
+    pairs = decode_varints(payload, offset, 2 * df, nbytes).reshape(df, 2)
+    damage(pairs[:, 0], pairs[:, 1], index.stats.num_docs)
+    block = encode_varints(pairs.reshape(-1))
+    assert len(block) == nbytes  # so every other block keeps its offset
+    payload[offset : offset + nbytes] = block
+    write_checksummed(idx / "postings.bin", bytes(payload))
+    write_topics([Topic("1", "bgdumare")], tmp_path / "topics.txt")
+
+    code = run_cli("run", "--index-dir", idx, "--topics", tmp_path / "topics.txt", "--output-dir", tmp_path / "runs")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {idx / 'postings.bin'}: posting block of term 'bgdumare' at byte offset {offset}: " in err
+    assert fault in err
+    assert not list((tmp_path / "runs").iterdir())

@@ -23,13 +23,14 @@ from girit.index import (
     HEADER_FILE,
     LEXICON_FILE,
     POSTINGS_FILE,
+    DocTable,
     Index,
     build_index,
     build_index_to_dir,
 )
 from girit.retrieval import Topic, write_topics
 from girit.synth import synth_corpus
-from girit.util import checksum64, read_checksummed, write_checksummed
+from girit.util import checksum64, encode_varints, read_checksummed, write_checksummed
 
 
 TWO_DOCS = [RawDocument("d1", "a b"), RawDocument("d2", "a")]
@@ -112,6 +113,28 @@ class TestHoldingView:
         assert index.lookup("a") is not index.lookup("a")
         assert view.doc_table is index.doc_table and view.stats is index.stats
         assert view.fingerprint == index.fingerprint
+
+
+class TestCheckedPostingBlocks:
+    """Values no build writes, in a block of well-formed varints, are a data
+    error naming the term and the block (tests/test_cli.py re-seals the
+    cases a build could almost write into a real index)."""
+
+    @pytest.mark.parametrize(
+        "values, fault",
+        [
+            ([0, 1, 2**63 - 1, 1, 2**63 - 1, 1, 3, 1], "internal ids run past the last document, 4"),
+            ([0, 2**31], "a tf of 2147483648 is more than any build writes"),
+        ],
+        ids=["gaps-whose-sum-overflows", "tf-of-2^31"],
+    )
+    def test_a_value_no_build_writes_is_named(self, cfg, values, fault):
+        payload = encode_varints(values)
+        table = np.array([[len(values) // 2, 0, 0, len(payload)]], dtype=np.int64)
+        index = Index(cfg, DocTable([f"d{i}" for i in range(5)], [1] * 5), ["t"], table, payload)
+        with pytest.raises(IndexStoreError) as raised:
+            index.lookup("t")
+        assert str(raised.value) == f"{POSTINGS_FILE}: posting block of term 't' at byte offset 0: {fault}"
 
 
 class TestRecountOracle:
@@ -220,6 +243,31 @@ class TestPersistence:
         assert len(opened) == 60 + 15 + 4
         assert not list((tmp_path / "spill").rglob("*.tmp*"))
 
+    def test_a_flush_of_more_slices_than_a_merge_reads_writes_the_bytes_of_a_budget_0_build(
+        self, cfg, tmp_path, monkeypatch
+    ):
+        # short documents share a slice; "long" is longer than a slice, so it is one of its own
+        docs = synth_corpus(random.Random(17), 120, vocab_size=50, doc_len=(2, 12))
+        docs.insert(60, RawDocument("long", "zz " * 100 + docs[0].text))
+        build_index_to_dir(docs, cfg, tmp_path / "spill", memory_budget_mb=0)
+        slices = []
+        write_run = girit.index._write_run
+
+        def counted(path, *args):
+            if path.endswith(".tmp"):  # a slice; a merged run's name ends in ".merged"
+                slices.append(path)
+            return write_run(path, *args)
+
+        # 16-posting batches cut 32-token slices, merged 4 at a time
+        monkeypatch.setattr(girit.index, "_MAX_BATCH", 16)
+        monkeypatch.setattr(girit.index, "_MAX_FAN_IN", 4)
+        monkeypatch.setattr(girit.index, "_write_run", counted)
+        build_index_to_dir(docs, cfg, tmp_path / "one-flush")
+        assert len(slices) > 4 * 4
+        assert _dir_bytes(tmp_path / "spill") == _dir_bytes(tmp_path / "one-flush")
+        zz = Index.load(tmp_path / "one-flush").lookup("zz")
+        assert zz.pairs() == [(60, 100)]
+
     def test_each_term_is_numbered_once_however_often_the_build_spills(self, cfg, tmp_path, monkeypatch):
         docs = synth_corpus(random.Random(9), 60, vocab_size=100)
         numbered = []
@@ -319,11 +367,15 @@ class TestPersistence:
             (lambda h: h["analyzer"].update(lowercase_latin=1), "key 'analyzer.lowercase_latin' is missing or not of type bool"),
             (lambda h: h["analyzer"].update(unicode_normalization=None), "key 'analyzer.unicode_normalization' is missing or not of type str"),
             (lambda h: h["analyzer"].update(stopwords=[1]), "key 'analyzer.stopwords' must hold strings"),
+            (
+                lambda h: h["analyzer"].update(unicode_normalization="XYZ"),
+                "key 'analyzer.unicode_normalization' must be one of NFC, NFD, NFKC, NFKD",
+            ),
         ],
         ids=[
             "no-num_documents", "no-total_tokens", "no-vocabulary_size", "no-analyzer", "no-stopwords",
             "no-min_token_length", "str-num_documents", "bool-total_tokens", "list-analyzer",
-            "int-lowercase_latin", "null-unicode_normalization", "int-stopword",
+            "int-lowercase_latin", "null-unicode_normalization", "int-stopword", "unknown-unicode_normalization",
         ],
     )
     def test_header_key_missing_or_of_the_wrong_type_is_named(self, cfg, tmp_path, damage, message):
@@ -387,14 +439,15 @@ class TestBudget:
             tracemalloc.stop()
         assert peak <= (1 << 20) + (256 << 10)
 
-    def test_the_columns_cost_four_bytes_per_token_and_eight_per_document(self, cfg):
+    def test_the_columns_cost_four_bytes_per_token_and_eight_per_document(self, cfg, tmp_path):
         """What the budget counts beyond its fixed share: one int32 term id
         per token and one int64 end per document, with the slack arrays
         leave when they grow. Most tokens here are distinct in their
         document, so a (term id, tf) row per distinct term would cost twice
         as much."""
         docs = [RawDocument(f"d{i}", " ".join(f"t{i}x{j % 190}" for j in range(200))) for i in range(300)]
-        builder = girit.index._Builder(cfg, budget_bytes=None, spill_dir=None)
+        # a budget these documents never reach, so nothing spills
+        builder = girit.index._Builder(cfg, budget_bytes=1 << 30, spill_dir=str(tmp_path))
         builder.add_all(docs)
         tokens = sum(builder.lengths)
         assert tokens == 60_000
