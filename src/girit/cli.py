@@ -14,13 +14,13 @@ import logging
 import os
 import sys
 from contextlib import ExitStack
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .analysis import UNICODE_FORMS, AnalyzerConfig, load_stopwords
 from .corpus import parse_corpus
 from .errors import (
-    AnalyzerMismatchError,
     ConfigError,
     EmptyCollectionError,
     FormatError,
@@ -44,31 +44,95 @@ from .expansion import (
 )
 from .index import Index, build_index, build_index_to_dir, read_config
 from .models import MODEL_IDS, ModelParams, check_model_id
-from .retrieval import build_query, check_fields, oracle_rank, parse_topics, rank, write_run, write_topics
+from .retrieval import FIELD_SELECTIONS, build_query, oracle_rank, parse_topics, rank, write_run, write_topics
 from .util import read_text, replacing
 
 log = logging.getLogger(__name__)
 
-_CONFIG_KEYS = {
-    "corpus", "index_dir", "topics", "fields", "models", "cutoff", "output_dir",
-    "tag", "qrels", "thesaurus", "runs", "before", "after", "output", "stats_output",
-    "stopwords", "lowercase", "unicode_form", "min_token_length",
-    "max_added_per_query", "max_synonyms_per_term", "expanded_term_weight",
-    "c", "k1", "b", "k3", "mu", "lambda", "memory_budget_mb", "lenient",
-    "instances", "seed", "max_docs",
-}
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+class _Option(NamedTuple):
+    """An option: `--some-name` as a flag, `some_name` as a config key."""
+
+    flag: str
+    commands: str  # the subcommands that take it
+    convert: Callable | None = str  # None: an on/off switch
+    default: object = None  # the command's default; None leaves it to the library
+    dest: str | None = None  # the library's name for it, where that differs
+    choices: tuple | None = None
+    many: bool = False  # a repeatable flag, or a comma-separated config value
+    help: str | None = None
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    @property
+    def name(self) -> str:
+        return self.dest or self.key
 
 
-def parse_config_file(path) -> dict[str, str]:
+_OPTIONS = (
+    _Option("--corpus", "index", many=True, help="corpus file or directory (repeatable)"),
+    _Option("--index-dir", "index run expand", help="the index (expand borrows its analyzer configuration)"),
+    _Option("--memory-budget-mb", "index", int),
+    _Option("--lenient", "index", None, False),
+    _Option("--lowercase", "index expand", None, dest="lowercase_latin"),
+    _Option("--unicode-form", "index expand", dest="unicode_normalization"),
+    _Option("--min-token-length", "index expand", int),
+    _Option("--stopwords", "index expand"),
+    _Option("--topics", "run expand"),
+    _Option("--fields", "run expand", default="TD", choices=FIELD_SELECTIONS),
+    _Option("--models", "run verify", default="all", help="'all' or comma-separated model ids"),
+    _Option("--cutoff", "run eval", int, 1000),
+    _Option("--output-dir", "run eval compare", default="."),
+    _Option("--tag", "run", default="girit"),
+    *(_Option(f"--{name}", "run verify", float) for name in ("c", "k1", "b", "k3", "mu")),
+    _Option("--lambda", "run verify", float, dest="lambda_"),
+    _Option("--thesaurus", "expand"),
+    _Option("--output", "expand", help="path for the expanded topics file"),
+    _Option("--stats-output", "expand"),
+    _Option("--max-added-per-query", "expand", int),
+    _Option("--max-synonyms-per-term", "expand", int),
+    _Option("--expanded-term-weight", "expand", float),
+    _Option("--runs", "eval", many=True, help="run file or directory (repeatable)"),
+    _Option("--qrels", "eval"),
+    _Option("--before", "compare", help="directory of .eval files without expansion"),
+    _Option("--after", "compare", help="directory of .eval files with expansion"),
+    _Option("--instances", "verify", int, 20),
+    _Option("--seed", "verify", int, 7),
+    _Option("--max-docs", "verify", int, 150),
+)
+
+
+def _convert(option: _Option, raw: str):
+    """A config file's value, read as the option's flag reads it."""
+    if option.many:
+        return [p.strip() for p in raw.split(",") if p.strip()]
+    if option.convert is None:
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return True
+        if raw.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ConfigError(f"config key {option.key}: expected boolean, got {raw!r}")
+    try:
+        value = option.convert(raw)
+        if option.choices and value not in option.choices:
+            raise ValueError(raw)
+        return value
+    except ValueError:
+        raise ConfigError(f"config key {option.key}: bad value {raw!r}") from None
+
+
+def _read_config(path, taken: list[_Option]) -> dict:
+    """The options in `taken` that the config file at `path` sets. Any key of
+    the table is accepted; one that `taken` lacks is not read further."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         text = read_text(path)
     except FormatError as exc:
         raise ConfigError(str(exc)) from None
+    known = {option.key for option in _OPTIONS}
     values: dict[str, str] = {}
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.split("#", 1)[0].strip()
@@ -78,101 +142,79 @@ def parse_config_file(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
-    return values
+    return {o.name: _convert(o, values[o.key]) for o in taken if o.key in values}
 
 
-_KEY_ATTR = {"lambda": "lambda_"}
+def _options(args: argparse.Namespace) -> dict:
+    """The options of `args.command`: its flags over its config file over its
+    defaults. One that none of them sets is absent, so the library's
+    default holds."""
+    taken = [o for o in _OPTIONS if args.command in o.commands.split()]
+    given = vars(args)
+    opts = {o.name: o.default for o in taken if o.default is not None}
+    if "config" in given:
+        opts.update(_read_config(given["config"], taken))
+    opts.update((o.name, given[o.name]) for o in taken if o.name in given)
+    return opts
 
 
-class Settings:
-    """Merged view over CLI flags (which win) and the config file."""
+def _given(opts: dict, names) -> dict:
+    return {name: opts[name] for name in names if name in opts}
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = parse_config_file(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, key: str, default=None, cast=str):
-        flag = getattr(self.args, _KEY_ATTR.get(key, key), None)
-        if flag is not None:
-            return flag
-        if key in self.file:
-            raw = self.file[key]
-            if cast is bool:
-                lowered = raw.lower()
-                if lowered in _TRUE:
-                    return True
-                if lowered in _FALSE:
-                    return False
-                raise ConfigError(f"config key {key}: expected boolean, got {raw!r}")
-            try:
-                return cast(raw)
-            except ValueError:
-                raise ConfigError(f"config key {key}: bad value {raw!r}") from None
-        return default
+def _make(cls, opts: dict):
+    """`cls` from the options named as its fields; the rest keep its defaults."""
+    try:
+        return cls(**_given(opts, (f.name for f in fields(cls))))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
-    def at_least(self, key: str, least: int, default: int) -> int:
-        value = self.get(key, default, int)
-        if value < least:
-            raise ConfigError(f"--{key.replace('_', '-')}: must be at least {least}, got {value}")
-        return value
 
-    def need(self, key: str, cast=str):
-        value = self.get(key, None, cast)
-        if value is None:
-            raise ConfigError(f"missing required option: --{key.replace('_', '-')}")
-        return value
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
-    def need_path(self, key: str) -> Path:
-        path = self.need(key)
-        if not os.path.exists(path):
-            raise ConfigError(f"--{key.replace('_', '-')}: path does not exist: {path}")
-        return Path(path)
 
-    def analyzer(self) -> AnalyzerConfig:
-        form = self.get("unicode_form", "NFC")
-        if form not in UNICODE_FORMS:
-            raise ConfigError(f"--unicode-form: must be one of {', '.join(UNICODE_FORMS)}, got {form!r}")
-        base = AnalyzerConfig(lowercase_latin=self.get("lowercase", True, bool), unicode_normalization=form)
-        stopwords = frozenset()
-        stopword_path = self.get("stopwords")
-        if stopword_path:
-            if not os.path.exists(stopword_path):
-                raise ConfigError(f"stopword file does not exist: {stopword_path}")
-            stopwords = load_stopwords(stopword_path, base)
-        return replace(base, stopword_list=stopwords, min_token_length=self.at_least("min_token_length", 0, 1))
+def _need(opts: dict, name: str):
+    if not opts.get(name):
+        raise ConfigError(f"missing required option: {_flag(name)}")
+    return opts[name]
 
-    def model_params(self) -> ModelParams:
-        try:
-            return ModelParams(
-                c=self.get("c", 1.0, float),
-                k1=self.get("k1", 1.2, float),
-                b=self.get("b", 0.75, float),
-                k3=self.get("k3", 8.0, float),
-                mu=self.get("mu", 2500.0, float),
-                lambda_=self.get("lambda", 0.15, float),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
-    def models(self) -> tuple[str, ...]:
-        spec = self.get("models", "all")
-        if spec in ("all", ""):
-            return MODEL_IDS
-        # a repeated id names the same model once, where it first appears
-        return tuple(dict.fromkeys(check_model_id(name.strip()) for name in spec.split(",") if name.strip()))
+def _need_path(opts: dict, name: str) -> Path:
+    path = _need(opts, name)
+    if not os.path.exists(path):
+        raise ConfigError(f"{_flag(name)}: path does not exist: {path}")
+    return Path(path)
 
-    def expansion_policy(self) -> ExpansionPolicy:
-        try:
-            return ExpansionPolicy(
-                max_added_per_query=self.get("max_added_per_query", 6, int),
-                max_synonyms_per_term=self.get("max_synonyms_per_term", None, int),
-                expanded_term_weight=self.get("expanded_term_weight", 1.0, float),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+
+def _at_least(opts: dict, name: str, least: int) -> None:
+    if opts.get(name, least) < least:
+        raise ConfigError(f"{_flag(name)}: must be at least {least}, got {opts[name]}")
+
+
+def _analyzer(opts: dict) -> AnalyzerConfig:
+    form = opts.get("unicode_normalization")
+    if form is not None and form not in UNICODE_FORMS:
+        raise ConfigError(f"--unicode-form: must be one of {', '.join(UNICODE_FORMS)}, got {form!r}")
+    _at_least(opts, "min_token_length", 0)
+    cfg = _make(AnalyzerConfig, opts)
+    stopword_path = opts.get("stopwords")
+    if stopword_path:
+        if not os.path.exists(stopword_path):
+            raise ConfigError(f"stopword file does not exist: {stopword_path}")
+        cfg = replace(cfg, stopword_list=load_stopwords(stopword_path, cfg))
+    return cfg
+
+
+def _models(opts: dict) -> tuple[str, ...]:
+    spec = opts["models"]
+    if spec in ("all", ""):
+        return MODEL_IDS
+    # a repeated id names the same model once, where it first appears
+    return tuple(dict.fromkeys(check_model_id(name.strip()) for name in spec.split(",") if name.strip()))
 
 
 def _files_of(paths: list[str], kind: str, purpose: str, suffix: str = "") -> list[Path]:
@@ -192,40 +234,30 @@ def _files_of(paths: list[str], kind: str, purpose: str, suffix: str = "") -> li
     return files
 
 
-def _path_list(settings: Settings, key: str) -> list[str]:
-    """Repeatable flag wins; otherwise a comma-separated config value."""
-    flag = getattr(settings.args, key, None)
-    if flag:
-        return list(flag)
-    raw = settings.file.get(key, "")
-    return [p.strip() for p in raw.split(",") if p.strip()]
-
-
 def _write_each(directory, texts: dict[str, str]) -> None:
     for name, text in texts.items():
         with replacing(os.path.join(directory, name)) as fh:
             fh.write(text)
 
 
-def cmd_index(settings: Settings) -> int:
-    paths = _path_list(settings, "corpus")
-    if not paths:
-        raise ConfigError("missing required option: --corpus")
-    files = _files_of(paths, "corpus", "index")
-    index_dir = settings.need("index_dir")
-    cfg_analyzer = settings.analyzer()
-    lenient = settings.get("lenient", False, bool)
-    budget = settings.at_least("memory_budget_mb", 0, 512)
+def cmd_index(opts: dict) -> int:
+    files = _files_of(_need(opts, "corpus"), "corpus", "index")
+    index_dir = _need(opts, "index_dir")
+    cfg_analyzer = _analyzer(opts)
+    _at_least(opts, "memory_budget_mb", 0)
     seen: set[str] = set()  # docids across all the files; the builder checks against it too
-    docs = (doc for f in files for doc in parse_corpus(f, lenient=lenient, seen=seen))
-    stats = build_index_to_dir(docs, cfg_analyzer, index_dir, memory_budget_mb=budget, seen=seen)
+    docs = (doc for f in files for doc in parse_corpus(f, lenient=opts["lenient"], seen=seen))
+    try:
+        stats = build_index_to_dir(docs, cfg_analyzer, index_dir, seen=seen, **_given(opts, ["memory_budget_mb"]))
+    except EmptyCollectionError as exc:
+        raise EmptyCollectionError(f"{', '.join(map(str, opts['corpus']))}: {exc}") from None
     _write_each(index_dir, {"stats.txt": stats.as_text(), "stats.csv": stats.as_csv()})
     sys.stdout.write(stats.as_text())
     sys.stdout.write(f"index written to {index_dir}\n")
     return 0
 
 
-def cmd_run(settings: Settings) -> int:
+def cmd_run(opts: dict) -> int:
     """Rank every topic under each selected model, queries as the outer loop.
 
     Each query's terms are decoded once (`Index.holding`) for all the models.
@@ -234,16 +266,16 @@ def cmd_run(settings: Settings) -> int:
     ScoringDomainError has its writer discarded and its file left as it was;
     the others go on. Any other error discards every writer.
     """
-    index = Index.load(settings.need_path("index_dir"))
-    topics = parse_topics(settings.need_path("topics"))
-    fields = settings.get("fields", "TD", check_fields)
-    cutoff = settings.at_least("cutoff", 1, 1000)
-    tag = settings.get("tag", "girit")
-    out_dir = settings.get("output_dir", ".")
+    index = Index.load(_need_path(opts, "index_dir"))
+    topics = parse_topics(_need_path(opts, "topics"))
+    _at_least(opts, "cutoff", 1)
+    cutoff = opts["cutoff"]
+    tag = opts["tag"]
+    out_dir = opts["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    params = settings.model_params()
-    models = settings.models()
-    bags = [build_query(t, fields, index.cfg) for t in topics]
+    params = _make(ModelParams, opts)
+    models = _models(opts)
+    bags = [build_query(t, opts["fields"], index.cfg) for t in topics]
     paths = {model: os.path.join(out_dir, f"{tag}.{model}.run") for model in models}
     lines = dict.fromkeys(models, 0)
     aborted: dict[str, ScoringDomainError] = {}
@@ -276,14 +308,14 @@ def cmd_run(settings: Settings) -> int:
     return 0
 
 
-def cmd_expand(settings: Settings) -> int:
-    topics = parse_topics(settings.need_path("topics"))
-    fields = settings.get("fields", "TD", check_fields)
-    index_dir = settings.get("index_dir")
-    cfg_analyzer = read_config(index_dir) if index_dir else settings.analyzer()
-    thesaurus = load_thesaurus(settings.need_path("thesaurus"), cfg_analyzer)
-    policy = settings.expansion_policy()
-    output = settings.need("output")
+def cmd_expand(opts: dict) -> int:
+    topics = parse_topics(_need_path(opts, "topics"))
+    fields = opts["fields"]
+    index_dir = opts.get("index_dir")
+    cfg_analyzer = read_config(index_dir) if index_dir else _analyzer(opts)
+    thesaurus = load_thesaurus(_need_path(opts, "thesaurus"), cfg_analyzer)
+    policy = _make(ExpansionPolicy, opts)
+    output = _need(opts, "output")
     expanded_topics = []
     for topic in topics:
         bag = build_query(topic, fields, cfg_analyzer)
@@ -291,7 +323,7 @@ def cmd_expand(settings: Settings) -> int:
         expanded_topics.append(expand_topic(topic, bag, expanded))
     write_topics(expanded_topics, output)
     stats = expansion_stats(topics, expanded_topics, fields, cfg_analyzer)
-    with replacing(settings.get("stats_output", output + ".stats.txt")) as fh:
+    with replacing(opts.get("stats_output", output + ".stats.txt")) as fh:
         fh.write(stats.as_text())
     sys.stdout.write(stats.as_text())
     sys.stdout.write(f"expanded topics written to {output}\n")
@@ -307,14 +339,12 @@ def _model_of_run_file(path: Path) -> str:
     return name
 
 
-def cmd_eval(settings: Settings) -> int:
-    paths = _path_list(settings, "runs")
-    if not paths:
-        raise ConfigError("missing required option: --runs")
-    files = _files_of(paths, "run", "evaluate", suffix=".run")
-    qrels = parse_qrels(settings.need_path("qrels"))
-    cutoff = settings.at_least("cutoff", 1, 1000)
-    out_dir = settings.get("output_dir", ".")
+def cmd_eval(opts: dict) -> int:
+    files = _files_of(_need(opts, "runs"), "run", "evaluate", suffix=".run")
+    qrels = parse_qrels(_need_path(opts, "qrels"))
+    _at_least(opts, "cutoff", 1)
+    cutoff = opts["cutoff"]
+    out_dir = opts["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     for path in files:
         model = _model_of_run_file(path)
@@ -340,36 +370,34 @@ def _summaries_of_dir(directory: str) -> dict[str, EvalSummary]:
     return summaries
 
 
-def cmd_compare(settings: Settings) -> int:
-    before = _summaries_of_dir(settings.need("before"))
-    after = _summaries_of_dir(settings.need("after"))
+def cmd_compare(opts: dict) -> int:
+    before = _need(opts, "before")
+    after = _need(opts, "after")
     try:
-        report = compare(before, after)
+        report = compare(_summaries_of_dir(before), _summaries_of_dir(after))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    out_dir = settings.get("output_dir", ".")
+        raise ConfigError(f"{before} and {after}: {exc}") from None
+    out_dir = opts["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     _write_each(out_dir, {"comparison.txt": report.as_text(), "comparison.csv": report.as_csv()})
     sys.stdout.write(report.as_text())
     return 0
 
 
-def cmd_verify(settings: Settings) -> int:
+def cmd_verify(opts: dict) -> int:
     import random
 
     from .synth import pick_query_terms, synth_corpus
     from .retrieval import QueryBag
 
-    instances = settings.at_least("instances", 1, 20)
-    seed = settings.get("seed", 7, int)
-    max_docs = settings.get("max_docs", 150, int)
-    models = settings.models()
-    params = settings.model_params()
+    _at_least(opts, "instances", 1)
+    models = _models(opts)
+    params = _make(ModelParams, opts)
     cfg_analyzer = AnalyzerConfig()
-    rng = random.Random(seed)
+    rng = random.Random(opts["seed"])
     mismatches: dict[str, int] = {m: 0 for m in models}
-    for _ in range(instances):
-        docs = synth_corpus(rng, rng.randint(50, max(51, max_docs)))
+    for _ in range(opts["instances"]):
+        docs = synth_corpus(rng, rng.randint(50, max(51, opts["max_docs"])))
         terms = pick_query_terms(docs, cfg_analyzer, rng, rng.randint(1, 5))
         if not terms:
             continue
@@ -396,113 +424,56 @@ def cmd_verify(settings: Settings) -> int:
     return 3 if bad else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a validation error, as a bad config value is."""
+        raise ConfigError(message)
+
+
+_COMMANDS = (
+    ("index", cmd_index, "build and persist an inverted index"),
+    ("run", cmd_run, "rank topics under one or more models"),
+    ("expand", cmd_expand, "expand topics through a thesaurus"),
+    ("eval", cmd_eval, "score run files against qrels"),
+    ("compare", cmd_compare, "before/after expansion comparison report"),
+    ("verify", cmd_verify, "cross-check the ranker against the reference scorer"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="girit", description=__doc__)
+    """One subparser per command, with the flags of the options it takes.
+    A flag not given is absent from the parsed namespace."""
+    parser = _Parser(prog="girit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, func, help in _COMMANDS:
+        p = sub.add_parser(command, help=help, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--verbose", action="store_true", help="log progress to stderr")
-
-    def analyzer_flags(p):
-        p.add_argument("--lowercase", action=argparse.BooleanOptionalAction, default=None)
-        p.add_argument("--unicode-form", dest="unicode_form")
-        p.add_argument("--min-token-length", dest="min_token_length", type=int)
-        p.add_argument("--stopwords")
-
-    def param_flags(p):
-        p.add_argument("--c", type=float)
-        p.add_argument("--k1", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--k3", type=float)
-        p.add_argument("--mu", type=float)
-        p.add_argument("--lambda", dest="lambda_", type=float)
-
-    p = sub.add_parser("index", help="build and persist an inverted index")
-    common(p)
-    analyzer_flags(p)
-    p.add_argument("--corpus", action="append", help="corpus file or directory (repeatable)")
-    p.add_argument("--index-dir", dest="index_dir")
-    p.add_argument("--memory-budget-mb", dest="memory_budget_mb", type=int)
-    p.add_argument("--lenient", action=argparse.BooleanOptionalAction, default=None)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("run", help="rank topics under one or more models")
-    common(p)
-    param_flags(p)
-    p.add_argument("--index-dir", dest="index_dir")
-    p.add_argument("--topics")
-    p.add_argument("--fields", choices=("T", "TD", "TDN"))
-    p.add_argument("--models", help="'all' or comma-separated model ids")
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--tag")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("expand", help="expand topics through a thesaurus")
-    common(p)
-    analyzer_flags(p)
-    p.add_argument("--topics")
-    p.add_argument("--thesaurus")
-    p.add_argument("--fields", choices=("T", "TD", "TDN"))
-    p.add_argument("--output", help="path for the expanded topics file")
-    p.add_argument("--stats-output", dest="stats_output")
-    p.add_argument("--index-dir", dest="index_dir", help="borrow the analyzer configuration of this index")
-    p.add_argument("--max-added-per-query", dest="max_added_per_query", type=int)
-    p.add_argument("--max-synonyms-per-term", dest="max_synonyms_per_term", type=int)
-    p.add_argument("--expanded-term-weight", dest="expanded_term_weight", type=float)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("eval", help="score run files against qrels")
-    common(p)
-    p.add_argument("--runs", action="append", help="run file or directory (repeatable)")
-    p.add_argument("--qrels")
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--output-dir", dest="output_dir")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("compare", help="before/after expansion comparison report")
-    common(p)
-    p.add_argument("--before", help="directory of .eval files without expansion")
-    p.add_argument("--after", help="directory of .eval files with expansion")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("verify", help="cross-check the ranker against the reference scorer")
-    common(p)
-    param_flags(p)
-    p.add_argument("--instances", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-docs", dest="max_docs", type=int)
-    p.add_argument("--models", help="'all' or comma-separated model ids")
-    p.set_defaults(func=cmd_verify)
-
+        p.add_argument("--verbose", action="store_true", default=False, help="log progress to stderr")
+        for o in _OPTIONS:
+            if command not in o.commands.split():
+                continue
+            if o.convert is None:
+                p.add_argument(o.flag, dest=o.name, action=argparse.BooleanOptionalAction, help=o.help)
+            else:
+                action = "append" if o.many else "store"
+                p.add_argument(o.flag, dest=o.name, action=action, type=o.convert, choices=o.choices,
+                               metavar=o.key.upper(), help=o.help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
-        settings = Settings(args)
-        return args.func(settings)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except AnalyzerMismatchError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (FormatError, EmptyCollectionError, ScoringDomainError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            stream=sys.stderr,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        return args.func(_options(args))
     except ToolkitError as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
-        return 3
+        sys.stderr.write(f"{'internal error' if exc.exit_code == 3 else 'error'}: {exc}\n")
+        return exc.exit_code
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not crashes
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3

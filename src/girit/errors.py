@@ -6,15 +6,22 @@ to be actionable from the command line.
 
 
 class ToolkitError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. `exit_code` is the CLI's exit code
+    for it; 3 (internal error) unless a subclass says otherwise."""
+
+    exit_code = 3
 
 
 class ConfigError(ToolkitError):
-    """Invalid configuration or command-line usage (exit code 1)."""
+    """Invalid configuration or command-line usage."""
+
+    exit_code = 1
 
 
 class FormatError(ToolkitError):
-    """Malformed input data (exit code 2)."""
+    """Malformed input data."""
+
+    exit_code = 2
 
 
 class CorpusError(FormatError):
@@ -52,9 +59,13 @@ class IndexStoreError(FormatError):
 class EmptyCollectionError(ToolkitError):
     """An index cannot be built over zero documents (average length undefined)."""
 
+    exit_code = 2
+
 
 class AnalyzerMismatchError(ToolkitError):
     """Query and index were produced under different analyzer configurations."""
+
+    exit_code = 1
 
 
 class UnknownModelError(ConfigError):
@@ -69,6 +80,8 @@ class ScoringDomainError(ToolkitError):
     Raised instead of silently producing NaN/inf; identifies the model and
     term, plus query/document context when available.
     """
+
+    exit_code = 2
 
     def __init__(self, model, term, detail, qid=None, docid=None):
         ctx = ""

@@ -197,19 +197,25 @@ class Index:
         row = self._lexicon.get(term)
         if row is None:
             return None
-        df, _cf, offset, nbytes = self._table[row].tolist()
-        values = decode_varints(self._buf, offset, 2 * df, nbytes)
+        df, cf, offset, nbytes = self._table[row].tolist()
+        try:
+            values = decode_varints(self._buf, offset, 2 * df, nbytes)
+        except IndexStoreError as exc:
+            raise IndexStoreError(f"{self._postings_path}: posting block of term {term!r}: {exc}") from None
         gaps, tfs = values[0::2], values[1::2]
         ids = np.cumsum(gaps)
+        posting = PostingList(term, ids, tfs)
         # no value after the first gap is 0; no build writes one of 2^31 or
-        # more, and below that no sum of gaps overflows
+        # more, and below that no sum of gaps overflows; the tfs sum to the
+        # lexicon's cf
         n = self.stats.num_docs
-        if df and (ids[-1] >= n or np.count_nonzero(values[1:]) < 2 * df - 1 or values.max() >> 31):
+        bad = df and (ids[-1] >= n or np.count_nonzero(values[1:]) < 2 * df - 1 or values.max() >> 31)
+        if bad or posting.cf != cf:
             raise IndexStoreError(
                 f"{self._postings_path}: posting block of term {term!r} at byte offset {offset}: "
-                + _block_fault(gaps, tfs, ids, n)
+                + _block_fault(gaps, tfs, ids, n, cf)
             )
-        return PostingList(term, ids, tfs)
+        return posting
 
     # -- persistence --------------------------------------------------------
 
@@ -226,33 +232,37 @@ class Index:
     def load(cls, directory) -> "Index":
         header = _read_header(directory)
         cfg = _config_from_header(header)
-        path = os.path.join(directory, DOCTABLE_FILE)
-        docids, lengths = _read_records(path, read_checksummed(path), 1)
+        # a count that disagrees with the header names both files
+        against = f"does not match {os.path.join(directory, HEADER_FILE)}"
+        docs_path = os.path.join(directory, DOCTABLE_FILE)
+        docids, lengths = _read_records(docs_path, read_checksummed(docs_path), 1)
         if len(docids) != header["num_documents"]:
-            raise IndexStoreError(f"{directory}: document table does not match header")
+            raise IndexStoreError(f"{docs_path}: document count {against}")
 
         path = os.path.join(directory, LEXICON_FILE)
         terms, table = _read_records(path, read_checksummed(path), 4)
         if len(terms) != header["vocabulary_size"]:
-            raise IndexStoreError(f"{directory}: lexicon does not match header")
+            raise IndexStoreError(f"{path}: term count {against}")
 
         path = os.path.join(directory, POSTINGS_FILE)
         index = cls(cfg, DocTable(docids, lengths[:, 0]), terms, table, read_checksummed(path))
         index._postings_path = path
         if index.stats.total_tokens != header["total_tokens"]:
-            raise IndexStoreError(f"{directory}: token count does not match header")
+            raise IndexStoreError(f"{docs_path}: token count {against}")
         return index
 
 
-def _block_fault(gaps, tfs, ids, n: int) -> str:
+def _block_fault(gaps, tfs, ids, n: int, cf: int) -> str:
     """What is wrong with a decoded posting block that fails Index._decode's check."""
-    if gaps.max() >= n or ids[-1] >= n:
+    if ids.size and (gaps.max() >= n or ids[-1] >= n):
         return f"internal ids run past the last document, {n - 1}"
     if gaps[1:].min(initial=1) == 0:
         return f"internal id {ids[np.argmin(gaps[1:])]} is listed twice"
-    if tfs.min() == 0:
+    if tfs.min(initial=1) == 0:
         return f"internal id {ids[np.argmin(tfs)]} has a tf of 0"
-    return f"a tf of {tfs.max()} is more than any build writes"
+    if tfs.max(initial=0) >> 31:
+        return f"a tf of {tfs.max()} is more than any build writes"
+    return f"its tfs sum to {tfs.sum()}, not to the lexicon's cf of {cf}"
 
 
 # candidate records, or payload bytes, a step of _read_records handles at a time
@@ -564,9 +574,9 @@ class _Run:
     def __init__(self, path, rank):
         self._fh = open(path, "rb")
         self._rank = rank
-        nterms, nrows = _RUN_HEADER.unpack(self._read(0, _RUN_HEADER.size))
+        nterms, self.nrows = _RUN_HEADER.unpack(self._read(0, _RUN_HEADER.size))
         self._rows_at = _RUN_HEADER.size
-        self._table_at = self._rows_at + 8 * nrows
+        self._table_at = self._rows_at + 8 * self.nrows
         self._unread = nterms
         self.ranks = np.empty(0, dtype=rank.dtype)
         self.dfs = np.empty(0, dtype=np.int64)
@@ -626,9 +636,11 @@ def _batches(sources, limit: int):
     """
     live = [s for s in sources if not s.done()]
     while live:
-        # at least a table read from each source, or many sources make tiny batches
-        share = max(_RUN_TABLE_READ, limit // len(live))
-        heads = [s.peek(share) for s in live]
+        # each source's share of the batch is its share of the rows, so that
+        # the heads reach about the same term; at least a table read from
+        # each, or many sources make tiny batches
+        rows = sum(s.nrows for s in live)
+        heads = [s.peek(max(_RUN_TABLE_READ, limit * s.nrows // rows)) for s in live]
         cutoff = min(head[-1] for head in heads)
         counts = [int(np.searchsorted(head, cutoff, side="right")) for head in heads]
         taken = [s.take(n) for s, n in zip(live, counts) if n]
@@ -678,18 +690,25 @@ def _write_run(path, batches, ids) -> None:
 
 
 def _merge_runs(paths, most: int, limit: int, rank, ids) -> list[str]:
-    """Merge consecutive runs in groups of _MAX_FAN_IN until at most `most`
-    are left, which keeps document order; merged inputs are removed."""
+    """Merge consecutive runs until at most `most` are left, which keeps
+    document order; merged inputs are removed.
+
+    Beyond _MAX_FAN_IN runs, a pass merges only the fewest leading runs, in
+    groups of at most _MAX_FAN_IN, that leave _MAX_FAN_IN, so the runs after
+    them are not rewritten before the last merge.
+    """
     while len(paths) > most:
-        merged = []
-        for i in range(0, len(paths), _MAX_FAN_IN):
-            group = paths[i : i + _MAX_FAN_IN]
+        target = _MAX_FAN_IN if len(paths) > _MAX_FAN_IN else most
+        merged, rest = [], paths
+        while len(rest) > 1 and len(merged) + len(rest) > target:
+            size = min(_MAX_FAN_IN, len(merged) + len(rest) - target + 1)
+            group, rest = rest[:size], rest[size:]
             merged.append(group[0] + ".merged")
             with ExitStack() as stack:
                 _write_run(merged[-1], _batches([stack.enter_context(_Run(p, rank)) for p in group], limit), ids)
             for p in group:
                 os.unlink(p)
-        paths = merged
+        paths = merged + rest
     return paths
 
 
@@ -824,7 +843,7 @@ class _Builder:
         The term map is dropped first: the sorted terms and their ids say all
         it held. The last flush writes the tokens still in memory as a run,
         and the runs are merged in flush order; beyond _MAX_FAN_IN runs,
-        consecutive groups are merged into one run first.
+        leading groups are merged first (see _merge_runs).
         """
         terms, ids, rank = self._order()
         del self.term_ids

@@ -444,6 +444,74 @@ tag=fromconfig
         assert expected in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key", ["corpus", "runs"])
+    def test_a_repeated_flag_replaces_the_config_files_list(self, key, fixture_dir, workspace, tmp_path):
+        config = tmp_path / "exp.conf"
+        config.write_text(f"{key}={tmp_path / 'nope'},{tmp_path / 'nope2'}\n", encoding="utf-8")
+        if key == "corpus":
+            for name, docid in (("a.trec", "z1"), ("b.trec", "z2")):
+                (tmp_path / name).write_text(f"<DOC><DOCNO>{docid}</DOCNO><TEXT>alpha</TEXT></DOC>", encoding="utf-8")
+            flags = ("--corpus", tmp_path / "a.trec", "--corpus", tmp_path / "b.trec", "--index-dir", tmp_path / "idx")
+            assert run_cli("index", "--config", config, *flags) == 0
+            assert Index.load(tmp_path / "idx").doc_table.docids == ["z1", "z2"]
+        else:
+            runs = workspace / "runs_before"
+            flags = ("--runs", runs / "exp.BM25.run", "--runs", runs / "exp.PL2.run", "--qrels",
+                     fixture_dir / "qrels.txt", "--output-dir", tmp_path / "eval")
+            assert run_cli("eval", "--config", config, *flags) == 0
+            assert sorted(f.name for f in (tmp_path / "eval").glob("*.eval")) == ["BM25.eval", "PL2.eval"]
+
+    def test_a_key_of_another_subcommand_is_ignored_even_when_malformed(self, fixture_dir, tmp_path):
+        config = tmp_path / "exp.conf"
+        config.write_text(
+            f"corpus={fixture_dir / 'corpus.trec'}\nindex_dir={tmp_path / 'idx'}\n"
+            "cutoff=abc\nfields=X\nmu=much\nseed=x\nmax_added_per_query=-1\n",
+            encoding="utf-8",
+        )
+        assert run_cli("index", "--config", config) == 0
+        assert Index.load(tmp_path / "idx").stats.num_docs == 126
+
+    @pytest.mark.parametrize(
+        "word, lowercase",
+        [("1", True), ("true", True), ("Yes", True), ("ON", True),
+         ("0", False), ("false", False), ("No", False), ("OFF", False), ("maybe", None), ("", None)],
+    )
+    def test_config_booleans(self, word, lowercase, fixture_dir, tmp_path, capsys):
+        config = tmp_path / "exp.conf"
+        config.write_text(f"lowercase={word}\n", encoding="utf-8")
+        code = run_cli("index", "--config", config, "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx")
+        if lowercase is None:
+            assert code == 1
+            assert f"error: config key lowercase: expected boolean, got {word!r}" in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert read_config(tmp_path / "idx").lowercase_latin is lowercase
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "--cutoff", "abc"), "argument --cutoff: invalid int value: 'abc'"),
+        (("run", "--fields", "X"), "argument --fields: invalid choice: 'X'"),
+        (("eval", "--no-such-flag"), "unrecognized arguments: --no-such-flag"),
+        (("index", "--lenient=yes"), "argument --lenient/--no-lenient: ignored explicit argument 'yes'"),
+        ((), "the following arguments are required: command"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["cutoff-abc", "fields-X", "unknown-flag", "switch-with-a-value", "no-subcommand", "unknown-subcommand"],
+)
+def test_a_usage_error_is_a_validation_error_naming_the_option(argv, message, capsys):
+    assert run_cli(*argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        run_cli("--help")
+    assert exited.value.code == 0
+    assert "verify" in capsys.readouterr().out
+
+
 class TestExpandCommand:
     def test_empty_thesaurus_is_identity(self, fixture_dir, tmp_path):
         empty = tmp_path / "empty.tsv"
@@ -708,6 +776,16 @@ def _a_tf_of_zero(gaps, tfs, n):
     tfs[0] = 0
 
 
+def _fixture_index(tmp_path):
+    """The index of the corpus of `scripts/make_corpus.py fixture`, in which
+    "bgdumare" is in 199 of the 200 documents, and a topic of that term."""
+    exp = synth_experiment(random.Random(7), num_docs=200, num_topics=8)
+    write_corpus(exp.docs, tmp_path / "corpus.trec")
+    assert run_cli("index", "--corpus", tmp_path / "corpus.trec", "--index-dir", tmp_path / "idx") == 0
+    write_topics([Topic("1", "bgdumare")], tmp_path / "topics.txt")
+    return tmp_path / "idx"
+
+
 @pytest.mark.parametrize(
     "damage, fault",
     [
@@ -721,11 +799,7 @@ def test_a_resealed_posting_block_with_impossible_values_is_a_data_error(damage,
     """A posting block rewritten in place and re-sealed with a valid checksum
     passes the checksum; its values must still name the file, the term and
     the block when every model ranks a topic of that term."""
-    # the corpus of `scripts/make_corpus.py fixture`: "bgdumare" is in 199 of its 200 documents
-    exp = synth_experiment(random.Random(7), num_docs=200, num_topics=8)
-    write_corpus(exp.docs, tmp_path / "corpus.trec")
-    idx = tmp_path / "idx"
-    assert run_cli("index", "--corpus", tmp_path / "corpus.trec", "--index-dir", idx) == 0
+    idx = _fixture_index(tmp_path)
     index = Index.load(idx)
     df, _cf, offset, nbytes = index._table[index._lexicon["bgdumare"]].tolist()
     assert df == 199
@@ -736,11 +810,31 @@ def test_a_resealed_posting_block_with_impossible_values_is_a_data_error(damage,
     assert len(block) == nbytes  # so every other block keeps its offset
     payload[offset : offset + nbytes] = block
     write_checksummed(idx / "postings.bin", bytes(payload))
-    write_topics([Topic("1", "bgdumare")], tmp_path / "topics.txt")
 
     code = run_cli("run", "--index-dir", idx, "--topics", tmp_path / "topics.txt", "--output-dir", tmp_path / "runs")
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: {idx / 'postings.bin'}: posting block of term 'bgdumare' at byte offset {offset}: " in err
     assert fault in err
+    assert not list((tmp_path / "runs").iterdir())
+
+
+def test_a_resealed_lexicon_cf_the_tfs_do_not_sum_to_is_a_data_error(tmp_path, capsys):
+    idx = _fixture_index(tmp_path)
+    index = Index.load(idx)
+    row = index._lexicon["bgdumare"]
+    _df, cf, offset, _nbytes = index._table[row].tolist()
+    assert cf == 1515
+    index._table[row, 1] = cf + 1
+    index.persist(idx)  # lexicon.bin re-sealed; the other files keep their bytes
+    assert Index.load(idx).term_stats("bgdumare")[1] == cf + 1
+
+    code = run_cli("run", "--index-dir", idx, "--topics", tmp_path / "topics.txt", "--models", "BM25",
+                   "--output-dir", tmp_path / "runs")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {idx / 'postings.bin'}: posting block of term 'bgdumare' at byte offset {offset}: "
+        f"its tfs sum to {cf}, not to the lexicon's cf of {cf + 1}\n"
+    )
     assert not list((tmp_path / "runs").iterdir())

@@ -136,6 +136,16 @@ class TestCheckedPostingBlocks:
             index.lookup("t")
         assert str(raised.value) == f"{POSTINGS_FILE}: posting block of term 't' at byte offset 0: {fault}"
 
+    def test_tfs_that_do_not_sum_to_the_lexicon_cf_are_named(self, cfg):
+        payload = encode_varints([0, 2, 3, 1])
+        table = np.array([[2, 4, 0, len(payload)]], dtype=np.int64)
+        index = Index(cfg, DocTable([f"d{i}" for i in range(5)], [3] * 5), ["t"], table, payload)
+        with pytest.raises(IndexStoreError) as raised:
+            index.lookup("t")
+        assert str(raised.value) == (
+            f"{POSTINGS_FILE}: posting block of term 't' at byte offset 0: its tfs sum to 3, not to the lexicon's cf of 4"
+        )
+
 
 class TestRecountOracle:
     """Every statistic in the index equals a brute-force recount over the
@@ -267,6 +277,36 @@ class TestPersistence:
         assert _dir_bytes(tmp_path / "spill") == _dir_bytes(tmp_path / "one-flush")
         zz = Index.load(tmp_path / "one-flush").lookup("zz")
         assert zz.pairs() == [(60, 100)]
+
+    def test_a_flush_of_more_slices_than_a_merge_reads_rewrites_only_the_leading_ones_first(
+        self, cfg, tmp_path, monkeypatch
+    ):
+        # ten 32-token documents, one per 32-token slice, merged 4 at a time
+        docs = [RawDocument(f"d{i}", " ".join(f"t{(i * 7 + j) % 45}" for j in range(32))) for i in range(10)]
+        build_index_to_dir(docs, cfg, tmp_path / "spill", memory_budget_mb=0)
+        slices, merged = [], []
+        write_run = girit.index._write_run
+
+        def counted(path, batches, ids):
+            rows = slices if path.endswith(".tmp") else merged
+            rows.append(0)
+
+            def counting():
+                for batch in batches:
+                    rows[-1] += len(batch[2])
+                    yield batch
+
+            return write_run(path, counting(), ids)
+
+        monkeypatch.setattr(girit.index, "_MAX_BATCH", 16)
+        monkeypatch.setattr(girit.index, "_MAX_FAN_IN", 4)
+        monkeypatch.setattr(girit.index, "_write_run", counted)
+        build_index_to_dir(docs, cfg, tmp_path / "one-flush")
+        assert len(slices) == 10
+        # the first 8 slices merge into 2 runs, which leaves 4 for the last
+        # merge; two passes over all 10 would write 2 * sum(slices) rows
+        assert merged == [sum(slices[:4]), sum(slices[4:8]), sum(slices)]
+        assert _dir_bytes(tmp_path / "spill") == _dir_bytes(tmp_path / "one-flush")
 
     def test_each_term_is_numbered_once_however_often_the_build_spills(self, cfg, tmp_path, monkeypatch):
         docs = synth_corpus(random.Random(9), 60, vocab_size=100)
