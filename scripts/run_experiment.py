@@ -15,6 +15,16 @@ import os
 import sys
 
 from girit.cli import main as girit
+from girit.retrieval import FIELD_SELECTIONS
+
+
+def given(args, *names):
+    """The flags among `names` that the user gave, each with its value."""
+    flags = []
+    for name in names:
+        if name in vars(args):
+            flags += [f"--{name}", str(vars(args)[name])]
+    return flags
 
 
 def sh(args):
@@ -29,10 +39,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data", required=True, help="directory with corpus/topics/qrels/thesaurus")
     parser.add_argument("--work", required=True, help="output directory for index, runs, reports")
-    parser.add_argument("--models", default="all")
-    parser.add_argument("--fields", default="TD", choices=("T", "TD", "TDN"))
-    parser.add_argument("--cutoff", type=int, default=1000)
-    parser.add_argument("--tag", default="girit")
+    # passed on only when given, so that girit's own defaults hold
+    parser.add_argument("--models", default=argparse.SUPPRESS, help="as for girit run")
+    parser.add_argument("--fields", default=argparse.SUPPRESS, choices=FIELD_SELECTIONS, help="as for girit run")
+    parser.add_argument("--cutoff", default=argparse.SUPPRESS, type=int, help="as for girit run")
+    parser.add_argument("--tag", default=argparse.SUPPRESS, help="as for girit run")
     args = parser.parse_args(argv)
 
     data = lambda name: os.path.join(args.data, name)
@@ -41,18 +52,16 @@ def main(argv=None):
 
     sh(["index", "--corpus", data("corpus.trec"), "--index-dir", work("idx")])
     sh(["run", "--index-dir", work("idx"), "--topics", data("topics.txt"),
-        "--fields", args.fields, "--models", args.models, "--cutoff", str(args.cutoff),
-        "--output-dir", work("runs_before"), "--tag", args.tag])
+        *given(args, "fields", "models", "cutoff"), "--output-dir", work("runs_before"), *given(args, "tag")])
     sh(["expand", "--topics", data("topics.txt"), "--thesaurus", data("thesaurus.tsv"),
-        "--index-dir", work("idx"), "--fields", args.fields,
+        "--index-dir", work("idx"), *given(args, "fields"),
         "--output", work("topics.expanded.txt")])
     sh(["run", "--index-dir", work("idx"), "--topics", work("topics.expanded.txt"),
-        "--fields", args.fields, "--models", args.models, "--cutoff", str(args.cutoff),
-        "--output-dir", work("runs_after"), "--tag", args.tag])
+        *given(args, "fields", "models", "cutoff"), "--output-dir", work("runs_after"), *given(args, "tag")])
     sh(["eval", "--runs", work("runs_before"), "--qrels", data("qrels.txt"),
-        "--cutoff", str(args.cutoff), "--output-dir", work("eval_before")])
+        *given(args, "cutoff"), "--output-dir", work("eval_before")])
     sh(["eval", "--runs", work("runs_after"), "--qrels", data("qrels.txt"),
-        "--cutoff", str(args.cutoff), "--output-dir", work("eval_after")])
+        *given(args, "cutoff"), "--output-dir", work("eval_after")])
     sh(["compare", "--before", work("eval_before"), "--after", work("eval_after"),
         "--output-dir", work("report")])
     print(f"\nreport: {work('report/comparison.txt')}")

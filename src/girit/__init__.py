@@ -5,47 +5,3 @@ TREC topics under 21 term-weighting models, optionally expand queries through
 a curated thesaurus, evaluate recall/MAP against qrels, and report the
 before/after expansion comparison.
 """
-
-from .analysis import AnalyzerConfig, analyze, load_stopwords, normalize, tokenize
-from .corpus import CorpusStats, RawDocument, corpus_stats, parse_corpus, serialize_document, write_corpus
-from .evaluation import (
-    ComparisonReport,
-    EvalResult,
-    EvalSummary,
-    QrelSet,
-    compare,
-    evaluate_run,
-    format_percentage,
-    parse_qrels,
-    parse_run,
-)
-from .expansion import (
-    ExpansionPolicy,
-    Thesaurus,
-    expand_query,
-    expand_topic,
-    expansion_stats,
-    load_thesaurus,
-)
-from .index import CollectionStats, Index, PostingList, build_index, build_index_to_dir
-from .models import (
-    MODEL_IDS,
-    ModelParams,
-    TermEvidence,
-    norm2_tfn,
-    score_document,
-    score_term,
-)
-from .retrieval import (
-    QueryBag,
-    RankedList,
-    Topic,
-    build_query,
-    oracle_rank,
-    parse_topics,
-    rank,
-    write_run,
-    write_topics,
-)
-
-__version__ = "0.1.0"

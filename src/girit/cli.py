@@ -214,7 +214,10 @@ def _models(opts: dict) -> tuple[str, ...]:
     if spec in ("all", ""):
         return MODEL_IDS
     # a repeated id names the same model once, where it first appears
-    return tuple(dict.fromkeys(check_model_id(name.strip()) for name in spec.split(",") if name.strip()))
+    models = tuple(dict.fromkeys(check_model_id(name.strip()) for name in spec.split(",") if name.strip()))
+    if not models:
+        raise ConfigError(f"--models: names no model: {spec!r}")
+    return models
 
 
 def _files_of(paths: list[str], kind: str, purpose: str, suffix: str = "") -> list[Path]:
@@ -272,7 +275,6 @@ def cmd_run(opts: dict) -> int:
     cutoff = opts["cutoff"]
     tag = opts["tag"]
     out_dir = opts["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     params = _make(ModelParams, opts)
     models = _models(opts)
     bags = [build_query(t, opts["fields"], index.cfg) for t in topics]
@@ -345,7 +347,6 @@ def cmd_eval(opts: dict) -> int:
     _at_least(opts, "cutoff", 1)
     cutoff = opts["cutoff"]
     out_dir = opts["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     for path in files:
         model = _model_of_run_file(path)
         result = evaluate_run(parse_run(path), qrels, cutoff, model=model)
@@ -378,7 +379,6 @@ def cmd_compare(opts: dict) -> int:
     except ValueError as exc:
         raise ConfigError(f"{before} and {after}: {exc}") from None
     out_dir = opts["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     _write_each(out_dir, {"comparison.txt": report.as_text(), "comparison.csv": report.as_csv()})
     sys.stdout.write(report.as_text())
     return 0

@@ -40,16 +40,7 @@ import numpy as np
 from .analysis import UNICODE_FORMS, AnalyzerConfig, analyze, memo_bytes
 from .corpus import CorpusStats, RawDocument
 from .errors import CorpusError, EmptyCollectionError, IndexStoreError
-from .util import (
-    CHECKSUM_BYTES,
-    MAX_VARINT_BYTES,
-    decode_varints,
-    encode_varints,
-    read_checksummed,
-    replacing,
-    varint_widths,
-    write_checksummed,
-)
+from .util import CHECKSUM_BYTES, read_checksummed, replacing, write_checksummed
 
 log = logging.getLogger(__name__)
 
@@ -265,6 +256,85 @@ def _block_fault(gaps, tfs, ids, n: int, cf: int) -> str:
     return f"its tfs sum to {tfs.sum()}, not to the lexicon's cf of {cf}"
 
 
+def varint_widths(values) -> np.ndarray:
+    """Encoded byte count of each value: one test over all of them, then
+    one per further byte over the values still wider."""
+    values = np.asarray(values, dtype=np.int64)
+    widths = (values >= 0x80).astype(np.int64) + 1
+    wide = np.flatnonzero(values >= 1 << 14)
+    groups = values[wide] >> 14
+    while wide.size:
+        widths[wide] += 1
+        more = groups >= 0x80
+        wide, groups = wide[more], groups[more] >> 7
+    return widths
+
+
+def encode_varints(values) -> bytes:
+    """Varints of non-negative int64 values, back to back: 7 bits per byte,
+    low group first, the high bit set on every byte but a value's last.
+
+    Widths come first; then each byte position is one masked store over the
+    values that are at least that wide.
+    """
+    group = np.asarray(values, dtype=np.int64)
+    if group.size and group.min() < 0:
+        raise ValueError("varints encode non-negative values only")
+    widths = varint_widths(group)
+    if not group.size or widths.max() == 1:
+        return group.astype(np.uint8).tobytes()
+    ends = np.cumsum(widths)
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    at = ends - widths
+    while True:
+        more = widths > 1
+        out[at] = (group & 0x7F) | (more << 7)
+        if not more.any():
+            return out.tobytes()
+        group = group[more] >> 7
+        at = at[more] + 1
+        widths = widths[more] - 1
+
+
+# 9 groups of 7 bits hold any int64 value up to 2**63 - 1
+MAX_VARINT_BYTES = 9
+
+
+def decode_varints(data, offset: int, count: int, nbytes: int) -> np.ndarray:
+    """Decode the `nbytes`-byte block at `offset` of `data`, which must hold
+    exactly `count` varints and end on a terminator byte, into int64 values.
+
+    Terminators are the bytes below 0x80; each value is its 7-bit groups
+    shifted into place and OR-ed together. A block that breaks the contract
+    raises IndexStoreError naming the byte offset.
+    """
+    if offset + nbytes > len(data):
+        raise _block_error(offset, f"{nbytes} bytes overrun the {len(data)}-byte buffer")
+    block = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=offset)
+    ends = np.flatnonzero(block < 0x80)
+    if nbytes and block[-1] >= 0x80:
+        last = offset + (int(ends[-1]) + 1 if ends.size else 0)
+        raise _block_error(offset, f"varint at byte offset {last} has no terminator")
+    if ends.size != count:
+        raise _block_error(offset, f"holds {ends.size} varints, expected {count}")
+    if count == nbytes:
+        return block.astype(np.int64)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    widths = ends - starts + 1
+    if widths.max() > MAX_VARINT_BYTES:
+        at = offset + int(starts[np.argmax(widths)])
+        raise IndexStoreError(f"varint at byte offset {at} is longer than {MAX_VARINT_BYTES} bytes")
+    shifts = 7 * (np.arange(nbytes) - np.repeat(starts, widths))
+    groups = (block & 0x7F).astype(np.int64) << shifts
+    return np.bitwise_or.reduceat(groups, starts)
+
+
+def _block_error(offset: int, detail: str) -> IndexStoreError:
+    return IndexStoreError(f"varint block at byte offset {offset}: {detail}")
+
+
 # candidate records, or payload bytes, a step of _read_records handles at a time
 _LOAD_CHUNK = 1 << 14
 
@@ -441,7 +511,6 @@ def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, batches) -> in
     doctable and lexicon are held in memory. Returns the vocabulary size
     written to the header.
     """
-    os.makedirs(directory, exist_ok=True)
     header_path = os.path.join(directory, HEADER_FILE)
     if os.path.exists(header_path):
         os.unlink(header_path)

@@ -74,10 +74,17 @@ class ModelParams:
     lambda_: float = 0.15
 
     def __post_init__(self):
-        if not (self.c > 0 and self.k1 > 0 and 0 <= self.b <= 1 and self.mu > 0):
-            raise ValueError(f"invalid model parameters: {self}")
-        if not (0 < self.lambda_ < 1):
-            raise ValueError(f"lambda must be in (0, 1): {self.lambda_}")
+        # each test is one that NaN fails
+        for name, value, ok, rule in (
+            ("c", self.c, self.c > 0, "> 0"),
+            ("k1", self.k1, self.k1 > 0, "> 0"),
+            ("b", self.b, 0 <= self.b <= 1, "in [0, 1]"),
+            ("k3", self.k3, self.k3 >= 0, ">= 0"),
+            ("mu", self.mu, self.mu > 0, "> 0"),
+            ("lambda", self.lambda_, 0 < self.lambda_ < 1, "in (0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}: {value}")
 
 
 @dataclass(frozen=True)

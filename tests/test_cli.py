@@ -12,11 +12,11 @@ import pytest
 from girit.analysis import AnalyzerConfig
 from girit.cli import main
 from girit.corpus import CorpusStats, corpus_stats, parse_corpus, write_corpus
-from girit.index import Index, read_config
+from girit.index import Index, decode_varints, encode_varints, read_config
 from girit.models import MODEL_IDS
 from girit.retrieval import Topic, parse_topics, write_topics
 from girit.synth import synth_experiment
-from girit.util import checksum64, decode_varints, encode_varints, read_checksummed, write_checksummed
+from girit.util import checksum64, read_checksummed, write_checksummed
 
 
 def run_cli(*args):
@@ -542,6 +542,22 @@ class TestExpandCommand:
         stats_text = capsys.readouterr().out
         assert f"{topics[0].qid}: 6" in stats_text
 
+    @pytest.mark.parametrize(
+        "outputs, stats",
+        [
+            ({"--output": "new/x.txt"}, "new/x.txt.stats.txt"),
+            ({"--output": "x.txt", "--stats-output": "new/s.txt"}, "new/s.txt"),
+        ],
+        ids=["output", "stats-output"],
+    )
+    def test_output_directories_are_created(self, outputs, stats, fixture_dir, tmp_path, capsys):
+        paths = [arg for flag, path in outputs.items() for arg in (flag, tmp_path / path)]
+        assert run_cli("expand", "--topics", fixture_dir / "topics.txt", "--thesaurus",
+                       fixture_dir / "thesaurus.tsv", *paths) == 0
+        expanded = parse_topics(tmp_path / outputs["--output"])
+        assert [t.qid for t in expanded] == [t.qid for t in parse_topics(fixture_dir / "topics.txt")]
+        assert (tmp_path / stats).read_text(encoding="utf-8") in capsys.readouterr().out
+
     def test_index_dir_borrows_analyzer_from_header_only(self, fixture_dir, tmp_path, monkeypatch):
         assert (
             run_cli("index", "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx",
@@ -724,11 +740,19 @@ def test_broken_gzip_corpus_file_is_a_data_error_naming_the_file(damage, tmp_pat
         (("index", "--config", "unicode_form=XYZ"), "--unicode-form: must be one of NFC, NFD, NFKC, NFKD, got 'XYZ'"),
         (("index", "--min-token-length", -3), "--min-token-length: must be at least 0, got -3"),
         (("expand", "--config", "min_token_length=-1"), "--min-token-length: must be at least 0, got -1"),
+        (("run", "--mu", -500), "mu must be > 0: -500.0"),
+        (("run", "--config", "mu=-500"), "mu must be > 0: -500.0"),
+        (("run", "--k3", -1), "k3 must be >= 0: -1.0"),
+        (("verify", "--c", 0), "c must be > 0: 0.0"),
+        (("run", "--models", ",,"), "--models: names no model: ',,'"),
+        (("verify", "--models", ",,"), "--models: names no model: ',,'"),
     ],
     ids=["run-cutoff-0", "run-cutoff-negative", "eval-cutoff-0", "config-fields-X",
          "expand-max-added-negative", "expand-max-synonyms-negative", "index-budget-negative",
          "verify-no-instances", "index-unicode-form-XYZ", "expand-unicode-form-lowercase",
-         "config-unicode-form-XYZ", "index-min-token-length-negative", "config-min-token-length-negative"],
+         "config-unicode-form-XYZ", "index-min-token-length-negative", "config-min-token-length-negative",
+         "run-mu-negative", "config-mu-negative", "run-k3-negative", "verify-c-0", "run-models-none",
+         "verify-models-none"],
 )
 def test_out_of_range_option_is_a_validation_error_naming_it(command, option, fixture_dir, workspace, tmp_path, capsys):
     name, flag, value = command

@@ -10,9 +10,8 @@ import girit.index
 from girit.analysis import AnalyzerConfig
 from girit.corpus import RawDocument
 from girit.errors import IndexStoreError
-from girit.index import build_index, build_index_to_dir
+from girit.index import build_index, build_index_to_dir, decode_varints, encode_varints, varint_widths
 from girit.synth import synth_corpus
-from girit.util import decode_varints, encode_varints, varint_widths
 
 INT64_MAX = 2**63 - 1
 

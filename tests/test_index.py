@@ -27,10 +27,11 @@ from girit.index import (
     Index,
     build_index,
     build_index_to_dir,
+    encode_varints,
 )
 from girit.retrieval import Topic, write_topics
 from girit.synth import synth_corpus
-from girit.util import checksum64, encode_varints, read_checksummed, write_checksummed
+from girit.util import checksum64, read_checksummed, write_checksummed
 
 
 TWO_DOCS = [RawDocument("d1", "a b"), RawDocument("d2", "a")]
