@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import QrelsError, RunFileError
-from .retrieval import RankedList
+from .retrieval import RankedList, shared_ranks
 from .util import read_text, reading
 
 log = logging.getLogger(__name__)
@@ -145,7 +145,7 @@ def _parse_regular_run(text: str) -> dict[str, RankedList] | None:
             rank_tokens = list(map(str, range(1, n + 1)))
         if qid in runs or qids[start:end].count(qid) != n or ranks[start:end] != rank_tokens[:n]:
             return None
-        runs[qid] = RankedList(qid=qid, entries=list(zip(docids[start:end], range(1, n + 1), scores[start:end])))
+        runs[qid] = RankedList(qid=qid, entries=list(zip(docids[start:end], shared_ranks(n), scores[start:end])))
         start = end
     return runs
 

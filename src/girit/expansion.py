@@ -44,8 +44,8 @@ class ExpansionPolicy:
             raise ValueError("max_added_per_query must be >= 0")
         if self.max_synonyms_per_term is not None and self.max_synonyms_per_term < 0:
             raise ValueError("max_synonyms_per_term must be >= 0")
-        if self.expanded_term_weight <= 0:
-            raise ValueError("expanded_term_weight must be > 0")
+        if not 0 < self.expanded_term_weight < math.inf:
+            raise ValueError(f"expanded_term_weight must be > 0 and finite: {self.expanded_term_weight}")
 
 
 def load_thesaurus(source, cfg: AnalyzerConfig) -> Thesaurus:

@@ -40,7 +40,7 @@ import numpy as np
 from .analysis import UNICODE_FORMS, AnalyzerConfig, analyze, memo_bytes
 from .corpus import CorpusStats, RawDocument
 from .errors import CorpusError, EmptyCollectionError, IndexStoreError
-from .util import CHECKSUM_BYTES, read_checksummed, replacing, write_checksummed
+from .util import CHECKSUM_BYTES, make_directory, read_checksummed, replacing, write_checksummed
 
 log = logging.getLogger(__name__)
 
@@ -940,7 +940,7 @@ def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: i
     directory inside `directory` until the build ends. `seen` may be the set
     that `parse_corpus` fills as it yields `docs`, so the docids are held once.
     """
-    os.makedirs(directory, exist_ok=True)
+    make_directory(directory, directory)
     with tempfile.TemporaryDirectory(prefix=".build.", dir=directory) as spill_dir:
         builder = _Builder(cfg, budget_bytes=memory_budget_mb << 20, spill_dir=spill_dir, seen=seen)
         builder.add_all(docs)

@@ -74,7 +74,7 @@ class ModelParams:
     lambda_: float = 0.15
 
     def __post_init__(self):
-        # each test is one that NaN fails
+        # each rule is one that NaN fails; infinity fails the finite test after it
         for name, value, ok, rule in (
             ("c", self.c, self.c > 0, "> 0"),
             ("k1", self.k1, self.k1 > 0, "> 0"),
@@ -85,6 +85,8 @@ class ModelParams:
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}: {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite: {value}")
 
 
 @dataclass(frozen=True)

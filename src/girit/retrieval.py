@@ -65,6 +65,20 @@ class RankedList:
         return len(self.entries)
 
 
+_RANKS: list[int] = []
+
+
+def shared_ranks(n: int) -> list[int]:
+    """The ints 1..m, for some m >= n, shared by every ranked list so that a
+    rank above 256 is not a new int in each. A list too short is replaced,
+    never extended, so a caller zipping against an earlier one is unaffected."""
+    global _RANKS
+    ranks = _RANKS
+    if len(ranks) < n:
+        ranks = _RANKS = list(range(1, n + 1))
+    return ranks
+
+
 def check_fields(fields: str) -> str:
     if fields not in FIELD_SELECTIONS:
         raise ValueError(f"field selection must be one of {FIELD_SELECTIONS}: {fields!r}")
@@ -211,7 +225,7 @@ def rank(index, bag: QueryBag, model: str, params: ModelParams | None = None, k:
     table = index.doc_table
     order = np.lexsort((table.docid_rank[cand], -scores))[:k]
     docids = table.docid_array[cand[order]].tolist()
-    return RankedList(qid=bag.qid, entries=list(zip(docids, range(1, order.size + 1), scores[order].tolist())))
+    return RankedList(qid=bag.qid, entries=list(zip(docids, shared_ranks(order.size), scores[order].tolist())))
 
 
 def _term_scores(index, bag: QueryBag, posting, model: str, params: ModelParams) -> np.ndarray:

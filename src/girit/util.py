@@ -7,7 +7,7 @@ import hashlib
 import os
 from contextlib import contextmanager
 
-from .errors import FormatError, IndexStoreError
+from .errors import ConfigError, FormatError, IndexStoreError
 
 CHECKSUM_BYTES = 8
 
@@ -41,22 +41,41 @@ def read_text(source) -> str:
             raise FormatError(f"UTF-8 decode failure: {exc.reason} | byte offset {exc.start}") from None
 
 
+def make_directory(directory, output) -> None:
+    """Create `directory` and its parents if they do not exist. An OSError
+    (a file in the way, say) is a ConfigError naming `output`, the path that
+    was to be written there."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        message = f"cannot write {os.fspath(output)}: cannot make directory {exc.filename}: {exc.strerror}"
+        raise ConfigError(message) from None
+
+
 @contextmanager
 def replacing(path, mode: str = "w"):
     """Write `path` all or nothing: the block writes a temporary file in the
     same directory (UTF-8 text for mode "w", bytes for "wb"), which replaces
     `path` when the block ends and is removed if the block raises. The
-    directory is created first if it does not exist."""
+    directory is created first if it does not exist. A path that cannot be
+    written (a file in the way of its directory, or a directory at `path`)
+    is a ConfigError naming it."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
-    os.makedirs(directory or ".", exist_ok=True)
+    make_directory(directory or ".", path)
     tmp = os.path.join(directory, f".tmp.{os.urandom(6).hex()}.{name}")
-    # created like open() creates files, so the process umask sets its mode
-    fh = open(tmp, "xb") if mode == "wb" else open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        # created like open() creates files, so the process umask sets its mode
+        fh = open(tmp, "xb") if mode == "wb" else open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     except BaseException:
         try:
             os.unlink(tmp)
@@ -86,13 +105,15 @@ def write_checksummed(path, payload: bytes) -> None:
 
 
 def read_checksummed(path) -> bytes:
-    """Read a payload+checksum file, verifying the trailing 64-bit checksum."""
+    """Read a payload+checksum file, verifying the trailing 64-bit checksum.
+    The payload is read into a bytes object of its own size, so the file is
+    held once, never as a whole plus a copy without its trailer."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < CHECKSUM_BYTES:
-        raise IndexStoreError(f"{path}: truncated (no checksum)")
-    payload, stored = raw[:-CHECKSUM_BYTES], raw[-CHECKSUM_BYTES:]
+        size = os.fstat(fh.fileno()).st_size
+        if size < CHECKSUM_BYTES:
+            raise IndexStoreError(f"{path}: truncated (no checksum)")
+        payload = fh.read(size - CHECKSUM_BYTES)
+        stored = fh.read()
     if checksum64(payload) != stored:
         raise IndexStoreError(f"{path}: checksum mismatch (corrupt or truncated)")
     return payload
-

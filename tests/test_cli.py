@@ -744,6 +744,12 @@ def test_broken_gzip_corpus_file_is_a_data_error_naming_the_file(damage, tmp_pat
         (("run", "--config", "mu=-500"), "mu must be > 0: -500.0"),
         (("run", "--k3", -1), "k3 must be >= 0: -1.0"),
         (("verify", "--c", 0), "c must be > 0: 0.0"),
+        (("run", "--k3", "inf"), "k3 must be finite: inf"),
+        (("run", "--mu", "inf"), "mu must be finite: inf"),
+        (("run", "--config", "c=inf"), "c must be finite: inf"),
+        (("verify", "--k1", "inf"), "k1 must be finite: inf"),
+        (("expand", "--expanded-term-weight", "nan"), "expanded_term_weight must be > 0 and finite: nan"),
+        (("expand", "--expanded-term-weight", "inf"), "expanded_term_weight must be > 0 and finite: inf"),
         (("run", "--models", ",,"), "--models: names no model: ',,'"),
         (("verify", "--models", ",,"), "--models: names no model: ',,'"),
     ],
@@ -751,8 +757,9 @@ def test_broken_gzip_corpus_file_is_a_data_error_naming_the_file(damage, tmp_pat
          "expand-max-added-negative", "expand-max-synonyms-negative", "index-budget-negative",
          "verify-no-instances", "index-unicode-form-XYZ", "expand-unicode-form-lowercase",
          "config-unicode-form-XYZ", "index-min-token-length-negative", "config-min-token-length-negative",
-         "run-mu-negative", "config-mu-negative", "run-k3-negative", "verify-c-0", "run-models-none",
-         "verify-models-none"],
+         "run-mu-negative", "config-mu-negative", "run-k3-negative", "verify-c-0", "run-k3-inf",
+         "run-mu-inf", "config-c-inf", "verify-k1-inf", "expand-weight-nan", "expand-weight-inf",
+         "run-models-none", "verify-models-none"],
 )
 def test_out_of_range_option_is_a_validation_error_naming_it(command, option, fixture_dir, workspace, tmp_path, capsys):
     name, flag, value = command
@@ -772,6 +779,38 @@ def test_out_of_range_option_is_a_validation_error_naming_it(command, option, fi
     assert run_cli(name, *required[name], flag, value) == 1
     assert f"error: {option}" in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, output, named",
+    [
+        ("run", "afile/r", "afile/r"),
+        ("expand", "afile/x.txt", "afile/x.txt"),
+        ("expand", "somedir", "somedir"),
+        ("index", "afile", "afile"),
+        ("index", "afile/i", "afile/i"),
+    ],
+    ids=["run-dir-under-a-file", "expand-dir-under-a-file", "expand-output-is-a-directory",
+         "index-dir-is-a-file", "index-dir-under-a-file"],
+)
+def test_unwritable_output_path_is_a_validation_error_naming_it(
+    command, output, named, fixture_dir, workspace, tmp_path, capsys
+):
+    (tmp_path / "afile").write_text("in the way\n", encoding="utf-8")
+    (tmp_path / "somedir").mkdir()
+    args = {
+        "run": ("--index-dir", workspace / "idx", "--topics", fixture_dir / "topics.txt", "--models", "BM25",
+                "--output-dir"),
+        "expand": ("--topics", fixture_dir / "topics.txt", "--thesaurus", fixture_dir / "thesaurus.tsv",
+                   "--output"),
+        "index": ("--corpus", fixture_dir / "corpus.trec", "--index-dir"),
+    }[command]
+    assert run_cli(command, *args, tmp_path / output) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / named}")
+    assert "internal error" not in err
+    assert not list(tmp_path.rglob(".tmp.*"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "somedir"]
 
 
 def test_index_header_missing_a_key_is_a_data_error_naming_it(workspace, fixture_dir, tmp_path, capsys):

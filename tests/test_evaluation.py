@@ -173,6 +173,16 @@ class TestRunParser:
         with pytest.raises(RunFileError, match="bad rank/score"):
             parse_run(io.StringIO("q1 Q0 d1 1 xyz t\n"))
 
+    def test_ranks_are_one_to_n_after_a_file_with_a_longer_qid(self):
+        def text(sizes):
+            return "".join(f"{qid} Q0 d{r} {r} {1 / r:.6f} t\n" for qid, n in sizes.items() for r in range(1, n + 1))
+
+        for sizes in ({"q1": 700}, {"q1": 3, "q2": 900, "q3": 1}, {"q1": 2}):
+            runs = parse_run(io.StringIO(text(sizes)))
+            assert {qid: [r for _, r, _ in rl.entries] for qid, rl in runs.items()} == {
+                qid: list(range(1, n + 1)) for qid, n in sizes.items()
+            }
+
 
 def _outcome(parse, text):
     """What a parser makes of `text`: its lists as (qid, entries repr), or

@@ -31,7 +31,7 @@ from girit.index import (
 )
 from girit.retrieval import Topic, write_topics
 from girit.synth import synth_corpus
-from girit.util import checksum64, read_checksummed, write_checksummed
+from girit.util import CHECKSUM_BYTES, checksum64, read_checksummed, write_checksummed
 
 
 TWO_DOCS = [RawDocument("d1", "a b"), RawDocument("d2", "a")]
@@ -379,6 +379,27 @@ class TestPersistence:
         target.write_bytes(target.read_bytes()[:-3])
         with pytest.raises(IndexStoreError):
             Index.load(tmp_path / "idx")
+
+    @pytest.mark.parametrize("size", [0, 1, CHECKSUM_BYTES - 1])
+    def test_file_shorter_than_a_checksum_is_truncated(self, tmp_path, size):
+        path = tmp_path / "short.bin"
+        path.write_bytes(bytes(size))
+        with pytest.raises(IndexStoreError, match=r"short\.bin: truncated \(no checksum\)"):
+            read_checksummed(path)
+
+    def test_checksummed_read_holds_the_file_once(self, tmp_path):
+        path = tmp_path / "big.bin"
+        payload = random.Random(3).randbytes(1 << 20)
+        write_checksummed(path, payload)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            got = read_checksummed(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == payload
+        assert peak < size + (64 << 10)
 
     def test_version_mismatch_rejected(self, cfg, tmp_path):
         build_index(TWO_DOCS, cfg).persist(tmp_path / "idx")

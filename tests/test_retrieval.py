@@ -170,6 +170,20 @@ class TestRank:
         out = rank(index, self.bag(cfg, {"apple": 1, "banana": 1}), "TF_IDF", k=None)
         assert [r for _, r, _ in out.entries] == list(range(1, len(out.entries) + 1))
 
+    def test_ranks_are_one_to_n_past_every_earlier_cutoff(self, cfg, rng, monkeypatch):
+        short = [1, 2]
+        monkeypatch.setattr(retrieval, "_RANKS", short)  # as after calls that ranked at most two
+        docs = synth_corpus(rng, 400)
+        index = build_index(docs, cfg)
+        bag = self.bag(cfg, {t: 1 for t in pick_query_terms(docs, cfg, rng, 4)})
+        first = rank(index, bag, "BM25", k=2)
+        for k in (5, 300, 3, None):
+            out = rank(index, bag, "BM25", k=k)
+            assert [r for _, r, _ in out.entries] == list(range(1, len(out.entries) + 1))
+        assert len(out.entries) > 300
+        assert [r for _, r, _ in first.entries] == [1, 2]
+        assert short == [1, 2]  # replaced, never extended
+
     def test_cutoff_is_prefix_of_larger_cutoff(self, cfg, rng):
         docs = synth_corpus(rng, 120)
         index = build_index(docs, cfg)
