@@ -274,6 +274,8 @@ def cmd_run(opts: dict) -> int:
     _at_least(opts, "cutoff", 1)
     cutoff = opts["cutoff"]
     tag = opts["tag"]
+    if tag.split() != [tag]:  # a run line's sixth field
+        raise ConfigError(f"--tag: must be non-empty and hold no whitespace, got {tag!r}")
     out_dir = opts["output_dir"]
     params = _make(ModelParams, opts)
     models = _models(opts)

@@ -34,6 +34,7 @@ _TAG_RE = re.compile(r"<\s*(/?)\s*([A-Za-z][A-Za-z0-9]*)\s*>")
 # a buffer tail that may still grow into a complete tag once more input arrives
 _PARTIAL_TAG_RE = re.compile(r"<\s*/?\s*[A-Za-z0-9]*\s*$")
 _GZIP_MAGIC = b"\x1f\x8b"
+_STRUCTURAL = ("DOC", "DOCNO", "TEXT")
 
 
 @dataclass(frozen=True)
@@ -120,19 +121,15 @@ def _decoded(reader):
         offset += len(chunk)
 
 
-# parser states
-_OUTSIDE, _IN_DOC, _IN_DOCNO, _IN_TEXT = range(4)
-_STRUCTURAL = ("DOC", "DOCNO", "TEXT")
-
-
 def parse_corpus(source, lenient: bool = False, seen: set[str] | None = None):
     """Yield RawDocument records from a tagged corpus, in file order.
 
     `source` is a named input (see `util.reading`); an open file must be
-    binary. Structural problems (missing/duplicate/empty DOCNO, nested or
-    unclosed <DOC>, stray closers) raise CorpusError; with ``lenient=True``
-    the offending document is skipped and logged instead. Either way the
-    document is named by the 1-based position of its <DOC> tag in the input.
+    binary. Structural problems (missing/duplicate/empty DOCNO, a docid
+    holding whitespace, nested or unclosed <DOC>, stray closers) raise
+    CorpusError; with ``lenient=True`` the offending document is skipped and
+    logged instead. Either way the document is named by the 1-based position
+    of its <DOC> tag in the input.
     A docid is a duplicate if it is in `seen`, which collects the docids
     yielded; pass one set to the calls for several files of one corpus.
     UTF-8 decode failures always raise, carrying the byte offset of the bad
@@ -148,31 +145,22 @@ def parse_corpus(source, lenient: bool = False, seen: set[str] | None = None):
 
 def _documents(texts, lenient: bool, where: str, seen: set[str]):
     buf = ""
-    state = _OUTSIDE
-    docno_parts: list[str] = []
-    text_parts: list[str] = []
-    have_docno = False
-    have_text = False
-    skipping = False  # lenient mode: discard until the next <DOC>
+    in_doc = False
+    region = None  # "DOCNO" or "TEXT" while inside one
+    parts: dict[str, list[str]] = {}  # each region the document opened, with its text
     doc_tags = 0  # <DOC> tags seen so far
     doc_at = 0  # position of the current document's <DOC> among them
 
-    def reset_doc():
-        nonlocal state, docno_parts, text_parts, have_docno, have_text
-        state = _OUTSIDE
-        docno_parts = []
-        text_parts = []
-        have_docno = False
-        have_text = False
-
     def recover(message: str, docid=None):
-        nonlocal skipping
+        # lenient: leave the document; outside one every tag but <DOC> is
+        # ignored, so parsing picks up again at the next <DOC>
+        nonlocal in_doc, region
         err = CorpusError(f"<DOC> #{doc_at}: {message}", docid=docid)
         if not lenient:
             raise err
         log.warning("%s: skipping malformed document: %s", where, err)
-        reset_doc()
-        skipping = True
+        in_doc = False
+        region = None
 
     while True:
         more = next(texts, "")
@@ -182,67 +170,51 @@ def _documents(texts, lenient: bool, where: str, seen: set[str]):
         for match in _TAG_RE.finditer(buf):
             content = buf[pos : match.start()]
             pos = match.end()
-            closing = bool(match.group(1))
-            name = match.group(2).upper()
-            if not closing and name == "DOC":
+            closing, name = match.groups()  # closing is "/" or ""
+            name = name.upper()
+            opens_doc = not closing and name == "DOC"
+            if opens_doc:
                 doc_tags += 1
-            if skipping:
-                if not closing and name == "DOC":
-                    skipping = False
-                    state = _IN_DOC
-                    doc_at = doc_tags
-                continue
-            if state == _IN_DOCNO:
-                docno_parts.append(content)
-                if closing and name == "DOCNO":
-                    state = _IN_DOC
-                elif name in _STRUCTURAL:
-                    recover("unclosed <DOCNO>")
-                continue  # unknown tags inside DOCNO are skipped
-            if state == _IN_TEXT:
-                text_parts.append(content)
-                if closing and name == "TEXT":
-                    state = _IN_DOC
-                elif name == "DOC" and not closing:
+            if region:
+                parts[region].append(content)
+                if closing and name == region:
+                    region = None
+                elif opens_doc and region == "TEXT":
                     recover("nested <DOC>")
                 elif name in _STRUCTURAL:
-                    recover("unclosed <TEXT>")
-                continue
-            if state == _OUTSIDE:
-                if not closing and name == "DOC":
-                    state = _IN_DOC
+                    recover(f"unclosed <{region}>")
+                # unknown tags inside a region are skipped
+            elif not in_doc:
+                if opens_doc:
+                    in_doc = True
+                    parts = {}
                     doc_at = doc_tags
-                continue  # anything else outside <DOC> is ignored
-            # state == _IN_DOC; content between regions is ignored
-            if not closing and name == "DOC":
+                # anything else outside <DOC> is ignored
+            elif opens_doc:
                 recover("nested <DOC>")
-            elif not closing and name == "DOCNO":
-                if have_docno:
-                    recover("multiple <DOCNO> in one document")
+            elif name in ("DOCNO", "TEXT"):
+                if closing:
+                    recover(f"stray </{name}>")
+                elif name in parts:
+                    recover(f"multiple <{name}> in one document")
                 else:
-                    have_docno = True
-                    state = _IN_DOCNO
-            elif not closing and name == "TEXT":
-                if have_text:
-                    recover("multiple <TEXT> in one document")
-                else:
-                    have_text = True
-                    state = _IN_TEXT
+                    parts[name] = []
+                    region = name
             elif closing and name == "DOC":
-                docid = "".join(docno_parts).strip()
-                if not have_docno:
+                docid = "".join(parts.get("DOCNO", ())).strip()
+                if "DOCNO" not in parts:
                     recover("missing <DOCNO>")
                 elif not docid:
                     recover("empty <DOCNO>")
+                elif len(docid.split()) > 1:
+                    recover("docid holds whitespace", docid=docid)
                 elif docid in seen:
                     recover("duplicate docid", docid=docid)
                 else:
                     seen.add(docid)
-                    yield RawDocument(docid=docid, text="".join(text_parts))
-                    reset_doc()
-            elif closing and name in ("DOCNO", "TEXT"):
-                recover(f"stray </{name}>")
-            # unknown tags are skipped
+                    in_doc = False
+                    yield RawDocument(docid=docid, text="".join(parts.get("TEXT", ())))
+            # content between regions, and unknown tags, are ignored
 
         rest = buf[pos:]
         keep = ""
@@ -251,15 +223,13 @@ def _documents(texts, lenient: bool, where: str, seen: set[str]):
             if tail != -1 and len(rest) - tail < 256 and _PARTIAL_TAG_RE.fullmatch(rest, tail):
                 keep = rest[tail:]
                 rest = rest[:tail]
-        if state == _IN_DOCNO:
-            docno_parts.append(rest)
-        elif state == _IN_TEXT:
-            text_parts.append(rest)
+        if region:
+            parts[region].append(rest)
         buf = keep
         if done:
             break
 
-    if state != _OUTSIDE:
+    if in_doc:
         recover("unclosed <DOC> at end of input")
 
 

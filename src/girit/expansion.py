@@ -33,6 +33,10 @@ class Thesaurus:
         return len(self.entries)
 
 
+# an expanded title repeats each added term ceil(expanded_term_weight) times
+MAX_EXPANDED_TERM_WEIGHT = 1000
+
+
 @dataclass(frozen=True)
 class ExpansionPolicy:
     max_added_per_query: int = 6
@@ -46,6 +50,10 @@ class ExpansionPolicy:
             raise ValueError("max_synonyms_per_term must be >= 0")
         if not 0 < self.expanded_term_weight < math.inf:
             raise ValueError(f"expanded_term_weight must be > 0 and finite: {self.expanded_term_weight}")
+        if self.expanded_term_weight > MAX_EXPANDED_TERM_WEIGHT:
+            raise ValueError(
+                f"expanded_term_weight must be at most {MAX_EXPANDED_TERM_WEIGHT}: {self.expanded_term_weight}"
+            )
 
 
 def load_thesaurus(source, cfg: AnalyzerConfig) -> Thesaurus:

@@ -91,7 +91,8 @@ def parse_topics(source) -> list[Topic]:
 
     Missing <desc>/<narr> default to empty with a warning; a field left
     unclosed is ended by the next field opener or </top>. Missing or empty
-    <num>/<title>, duplicate qids and an unclosed <top> are errors.
+    <num>/<title>, a qid holding whitespace, duplicate qids and an unclosed
+    <top> are errors.
     """
     with reading(source) as fh:
         text = read_text(fh)
@@ -118,6 +119,8 @@ def parse_topics(source) -> list[Topic]:
             narr = "".join(fields.get("narr", [])).strip()
             if not qid:
                 raise error("topic without <num>", top_at)
+            if " " in qid:
+                raise error(f"qid {qid!r} holds whitespace", top_at)
             if qid in seen:
                 raise error(f"duplicate qid {qid!r}", top_at)
             if not title:

@@ -694,6 +694,38 @@ class TestFormatErrorsNameTheFile:
         assert code == 2
         assert f"error: {bad}: line 5: topic without <num>" in capsys.readouterr().err
 
+    def test_qid_with_whitespace_is_rejected_naming_the_line(self, workspace, tmp_path, capsys):
+        """Such a qid would give run lines of more than six fields."""
+        bad = tmp_path / "topics.txt"
+        bad.write_text("<top>\n<num>1</num>\n<title>a</title>\n</top>\n<top>\n<num> Number: 401 </num>\n"
+                       "<title>b</title>\n</top>\n", encoding="utf-8")
+        code = run_cli("run", "--index-dir", workspace / "idx", "--topics", bad, "--models", "BM25",
+                       "--output-dir", tmp_path / "runs")
+        assert code == 2
+        assert f"error: {bad}: line 5: qid 'Number: 401' holds whitespace" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+    def test_docid_with_whitespace_is_rejected_naming_its_doc(self, tmp_path, capsys, caplog, lenient):
+        """Such a docid would give run lines of more than six fields."""
+        corpus = tmp_path / "c.trec"
+        corpus.write_text("<DOC><DOCNO>a</DOCNO><TEXT>alpha</TEXT></DOC>\n"
+                          "<DOC><DOCNO> d 1 </DOCNO><TEXT>beta</TEXT></DOC>\n", encoding="utf-8")
+        where = f"{corpus}: "
+        problem = "<DOC> #2: docid holds whitespace | docid='d 1'"
+        flags = ["--lenient"] if lenient else []
+        with caplog.at_level(logging.WARNING, logger="girit.corpus"):
+            code = run_cli("index", *flags, "--corpus", corpus, "--index-dir", tmp_path / "idx")
+        if not lenient:
+            assert code == 2
+            assert f"error: {where}{problem}" in capsys.readouterr().err
+            return
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "girit.corpus"] == [
+            f"{where}skipping malformed document: {problem}"
+        ]
+        assert Index.load(tmp_path / "idx").doc_table.docids == ["a"]
+
     def test_bad_file_in_a_corpus_directory(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         corpus_dir.mkdir()
@@ -750,6 +782,11 @@ def test_broken_gzip_corpus_file_is_a_data_error_naming_the_file(damage, tmp_pat
         (("verify", "--k1", "inf"), "k1 must be finite: inf"),
         (("expand", "--expanded-term-weight", "nan"), "expanded_term_weight must be > 0 and finite: nan"),
         (("expand", "--expanded-term-weight", "inf"), "expanded_term_weight must be > 0 and finite: inf"),
+        (("expand", "--expanded-term-weight", "1e5"), "expanded_term_weight must be at most 1000: 100000.0"),
+        (("expand", "--expanded-term-weight", "1e19"), "expanded_term_weight must be at most 1000: 1e+19"),
+        (("run", "--tag", "my tag"), "--tag: must be non-empty and hold no whitespace, got 'my tag'"),
+        (("run", "--tag", ""), "--tag: must be non-empty and hold no whitespace, got ''"),
+        (("run", "--config", "tag=a\tb"), "--tag: must be non-empty and hold no whitespace, got 'a\\tb'"),
         (("run", "--models", ",,"), "--models: names no model: ',,'"),
         (("verify", "--models", ",,"), "--models: names no model: ',,'"),
     ],
@@ -759,6 +796,7 @@ def test_broken_gzip_corpus_file_is_a_data_error_naming_the_file(damage, tmp_pat
          "config-unicode-form-XYZ", "index-min-token-length-negative", "config-min-token-length-negative",
          "run-mu-negative", "config-mu-negative", "run-k3-negative", "verify-c-0", "run-k3-inf",
          "run-mu-inf", "config-c-inf", "verify-k1-inf", "expand-weight-nan", "expand-weight-inf",
+         "expand-weight-1e5", "expand-weight-1e19", "run-tag-with-space", "run-tag-empty", "config-tag-with-tab",
          "run-models-none", "verify-models-none"],
 )
 def test_out_of_range_option_is_a_validation_error_naming_it(command, option, fixture_dir, workspace, tmp_path, capsys):

@@ -3,6 +3,7 @@ import io
 import logging
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,105 @@ class TestParseErrors:
     def test_error_names_the_position_of_its_doc(self, text, message):
         with pytest.raises(CorpusError, match=message):
             parse_all(text)
+
+
+def good(docid):
+    return f"<DOC><DOCNO>{docid}</DOCNO><TEXT>{docid} text</TEXT></DOC>\n"
+
+
+def between(bad):
+    """A malformed document between two good ones, so that it is <DOC> #2."""
+    return good("a") + bad + good("c")
+
+
+# each malformed input with its error; lenient parsing yields a and c from each
+ERRORS = {
+    "missing-docno": (between("<DOC><TEXT>t</TEXT></DOC>"), "<DOC> #2: missing <DOCNO>"),
+    "empty-docno": (between("<DOC><DOCNO> \n</DOCNO></DOC>"), "<DOC> #2: empty <DOCNO>"),
+    "docid-with-space": (
+        between("<DOC><DOCNO> d 1 </DOCNO><TEXT>t</TEXT></DOC>"),
+        "<DOC> #2: docid holds whitespace | docid='d 1'",
+    ),
+    "docid-with-nbsp": (
+        between("<DOC><DOCNO>d\u00a01</DOCNO></DOC>"),
+        "<DOC> #2: docid holds whitespace | docid='d\\xa01'",
+    ),
+    "duplicate-docid": (between(good("a")), "<DOC> #2: duplicate docid | docid='a'"),
+    "nested-doc": (between("<DOC><DOC><DOCNO>b</DOCNO></DOC>"), "<DOC> #2: nested <DOC>"),
+    "doc-in-text": (between("<DOC><DOCNO>b</DOCNO><TEXT>x<DOC></TEXT></DOC>"), "<DOC> #2: nested <DOC>"),
+    "unclosed-doc-at-end": (
+        good("a") + good("c") + "<DOC><DOCNO>b</DOCNO>",
+        "<DOC> #3: unclosed <DOC> at end of input",
+    ),
+    "unclosed-text-at-end": (
+        good("a") + good("c") + "<DOC><DOCNO>b</DOCNO><TEXT>t",
+        "<DOC> #3: unclosed <DOC> at end of input",
+    ),
+    "unclosed-text": (between("<DOC><DOCNO>b</DOCNO><TEXT>t<DOCNO>b</DOCNO></DOC>"), "<DOC> #2: unclosed <TEXT>"),
+    "doc-closer-in-text": (between("<DOC><DOCNO>b</DOCNO><TEXT>t</DOC>"), "<DOC> #2: unclosed <TEXT>"),
+    "text-in-docno": (between("<DOC><DOCNO>b<TEXT>t</TEXT></DOC>"), "<DOC> #2: unclosed <DOCNO>"),
+    "doc-in-docno": (between("<DOC><DOCNO>b<DOC></DOC>"), "<DOC> #2: unclosed <DOCNO>"),
+    "doc-closer-in-docno": (between("<DOC><DOCNO>b</DOC>"), "<DOC> #2: unclosed <DOCNO>"),
+    "multiple-docno": (
+        between("<DOC><DOCNO>b</DOCNO><DOCNO>b2</DOCNO></DOC>"),
+        "<DOC> #2: multiple <DOCNO> in one document",
+    ),
+    "multiple-text": (
+        between("<DOC><DOCNO>b</DOCNO><TEXT>x</TEXT><TEXT>y</TEXT></DOC>"),
+        "<DOC> #2: multiple <TEXT> in one document",
+    ),
+    "stray-docno-closer": (between("<DOC></DOCNO><DOCNO>b</DOCNO></DOC>"), "<DOC> #2: stray </DOCNO>"),
+    "stray-text-closer": (between("<DOC><DOCNO>b</DOCNO></TEXT></DOC>"), "<DOC> #2: stray </TEXT>"),
+}
+
+
+@pytest.mark.parametrize("text, message", ERRORS.values(), ids=ERRORS.keys())
+def test_each_error_names_its_doc_and_lenient_parsing_resumes_at_the_next(text, message, caplog):
+    with pytest.raises(CorpusError) as exc_info:
+        parse_all(text)
+    assert str(exc_info.value) == message
+    with caplog.at_level(logging.WARNING, logger="girit.corpus"):
+        docs = parse_all(text, lenient=True)
+    assert docs == [RawDocument("a", "a text"), RawDocument("c", "c text")]
+    assert [r.getMessage() for r in caplog.records] == [f"<stream>: skipping malformed document: {message}"]
+
+
+# tag soups: structural and unknown tags, whole documents and stray text. A
+# tag's inner whitespace stays short, since a partial tag of 256 characters or
+# more is not carried from one chunk to the next.
+_pad = st.text(alphabet=" \n", max_size=2)
+_tags = st.builds(
+    lambda a, closing, b, name, c: f"<{a}{closing}{b}{name}{c}>",
+    _pad, st.sampled_from(["", "/"]), _pad, st.sampled_from(["DOC", "DOCNO", "TEXT", "doc", "Text", "P"]), _pad,
+)
+_words = st.text(alphabet="ab <>/\n×ગુ", max_size=6)
+_whole = st.builds(lambda d, t: good(d) if t else f"<DOC><DOCNO>{d}</DOCNO></DOC>", st.sampled_from("abc"), st.booleans())
+soups = st.lists(st.one_of(_tags, _words, _whole), max_size=40).map("".join)
+
+
+def outcome(blob: bytes, lenient: bool, chunk: int):
+    """The documents, warnings and error of parsing `blob` read `chunk` bytes at a time."""
+    docs, warnings, error = [], [], None
+    handler = logging.Handler()
+    handler.emit = lambda record: warnings.append(record.getMessage())
+    logger = logging.getLogger("girit.corpus")
+    logger.addHandler(handler)
+    try:
+        with mock.patch.object(corpus_mod, "_CHUNK", chunk):
+            for doc in parse_corpus(io.BytesIO(blob), lenient=lenient):
+                docs.append(doc)
+    except CorpusError as exc:
+        error = str(exc)
+    finally:
+        logger.removeHandler(handler)
+    return docs, warnings, error
+
+
+@settings(max_examples=300, deadline=None)
+@given(soups, st.booleans(), st.one_of(st.integers(1, 8), st.integers(1, 600)))
+def test_chunk_size_does_not_change_documents_warnings_or_error(soup, lenient, chunk):
+    blob = soup.encode("utf-8")
+    assert outcome(blob, lenient, chunk) == outcome(blob, lenient, len(blob) + 1)
 
 
 class TestLenient:

@@ -165,11 +165,17 @@ class TestExpandQuery:
         assert twice.terms == once.terms
 
     @pytest.mark.parametrize(
-        "kwargs", [{"max_added_per_query": -1}, {"expanded_term_weight": 0.0}, {"max_synonyms_per_term": -1}]
+        "kwargs",
+        [{"max_added_per_query": -1}, {"expanded_term_weight": 0.0}, {"max_synonyms_per_term": -1},
+         {"expanded_term_weight": 1000.5}],
     )
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExpansionPolicy(**kwargs)
+
+    def test_largest_weight_is_accepted(self):
+        out = expand_query(self.bag({"a": 1}), Thesaurus({"a": ("s",)}), ExpansionPolicy(expanded_term_weight=1000))
+        assert out.terms["s"] == 1000
 
 
 class TestSupersetRetrieval:

@@ -91,6 +91,10 @@ class TestParseTopics:
         with pytest.raises(TopicError, match="without <title>"):
             parse_topics(io.StringIO("<top><num>1</num><desc>d</desc></top>"))
 
+    def test_qid_with_whitespace_rejected(self):
+        with pytest.raises(TopicError, match=r"^line 2: qid 'Number: 401' holds whitespace$"):
+            parse_topics(io.StringIO("\n<top><num> Number:\t401 </num><title>t</title></top>"))
+
     def test_duplicate_qid_rejected(self):
         block = "<top><num>1</num><title>t</title></top>"
         with pytest.raises(TopicError, match="duplicate qid"):
