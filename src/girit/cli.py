@@ -128,6 +128,8 @@ def _read_config(path, taken: list[_Option]) -> dict:
     the table is accepted; one that `taken` lacks is not read further."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    if os.path.isdir(path):
+        raise ConfigError(f"--config: is a directory: {path}")
     try:
         text = read_text(path)
     except FormatError as exc:
@@ -144,6 +146,8 @@ def _read_config(path, taken: list[_Option]) -> dict:
         key = key.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if "\0" in value:  # no path or tag can hold one
+            raise ConfigError(f"{path}:{lineno}: config key {key}: value holds a NUL byte")
         values[key] = value.strip()
     return {o.name: _convert(o, values[o.key]) for o in taken if o.key in values}
 
@@ -190,6 +194,13 @@ def _need_path(opts: dict, name: str) -> Path:
     return Path(path)
 
 
+def _need_file(opts: dict, name: str) -> Path:
+    path = _need_path(opts, name)
+    if path.is_dir():
+        raise ConfigError(f"{_flag(name)}: is a directory: {path}")
+    return path
+
+
 def _at_least(opts: dict, name: str, least: int) -> None:
     if opts.get(name, least) < least:
         raise ConfigError(f"{_flag(name)}: must be at least {least}, got {opts[name]}")
@@ -201,11 +212,8 @@ def _analyzer(opts: dict) -> AnalyzerConfig:
         raise ConfigError(f"--unicode-form: must be one of {', '.join(UNICODE_FORMS)}, got {form!r}")
     _at_least(opts, "min_token_length", 0)
     cfg = _make(AnalyzerConfig, opts)
-    stopword_path = opts.get("stopwords")
-    if stopword_path:
-        if not os.path.exists(stopword_path):
-            raise ConfigError(f"stopword file does not exist: {stopword_path}")
-        cfg = replace(cfg, stopword_list=load_stopwords(stopword_path, cfg))
+    if opts.get("stopwords"):
+        cfg = replace(cfg, stopword_list=load_stopwords(_need_file(opts, "stopwords"), cfg))
     return cfg
 
 
@@ -220,31 +228,34 @@ def _models(opts: dict) -> tuple[str, ...]:
     return models
 
 
-def _files_of(paths: list[str], kind: str, purpose: str, suffix: str = "") -> list[Path]:
-    """Each path as given; a directory stands for its files ending in
-    `suffix`, in name order."""
+def _files_of(opts: dict, name: str, kind: str, purpose: str, suffix: str = "") -> list[Path]:
+    """Each path of option `name` as given; a directory stands for its files
+    ending in `suffix`, in name order."""
+    paths = _need(opts, name)
     files: list[Path] = []
     for path in paths:
         if not os.path.exists(path):
-            raise ConfigError(f"{kind} path does not exist: {path}")
+            raise ConfigError(f"{_flag(name)}: {kind} path does not exist: {path}")
         if os.path.isdir(path):
             found = (Path(path, n) for n in sorted(os.listdir(path)) if n.endswith(suffix))
             files.extend(f for f in found if f.is_file())
         else:
             files.append(Path(path))
     if not files:
-        raise ConfigError(f"no {kind} files to {purpose}")
+        raise ConfigError(f"{_flag(name)}: no {kind} files to {purpose} in {', '.join(paths)}")
     return files
 
 
 def _write_each(directory, texts: dict[str, str]) -> None:
-    for name, text in texts.items():
-        with replacing(os.path.join(directory, name)) as fh:
-            fh.write(text)
+    """Write each named file in `directory`; none replaces its target unless
+    all were written."""
+    with ExitStack() as stack:
+        for name, text in texts.items():
+            stack.enter_context(replacing(os.path.join(directory, name))).write(text)
 
 
 def cmd_index(opts: dict) -> int:
-    files = _files_of(_need(opts, "corpus"), "corpus", "index")
+    files = _files_of(opts, "corpus", "corpus", "index")
     index_dir = _need(opts, "index_dir")
     cfg_analyzer = _analyzer(opts)
     _at_least(opts, "memory_budget_mb", 0)
@@ -270,12 +281,14 @@ def cmd_run(opts: dict) -> int:
     the others go on. Any other error discards every writer.
     """
     index = Index.load(_need_path(opts, "index_dir"))
-    topics = parse_topics(_need_path(opts, "topics"))
+    topics = parse_topics(_need_file(opts, "topics"))
     _at_least(opts, "cutoff", 1)
     cutoff = opts["cutoff"]
     tag = opts["tag"]
     if tag.split() != [tag]:  # a run line's sixth field
         raise ConfigError(f"--tag: must be non-empty and hold no whitespace, got {tag!r}")
+    if any(sep and sep in tag for sep in ("/", os.sep, os.altsep)):  # it names a file in --output-dir
+        raise ConfigError(f"--tag: must hold no path separator, got {tag!r}")
     out_dir = opts["output_dir"]
     params = _make(ModelParams, opts)
     models = _models(opts)
@@ -313,11 +326,11 @@ def cmd_run(opts: dict) -> int:
 
 
 def cmd_expand(opts: dict) -> int:
-    topics = parse_topics(_need_path(opts, "topics"))
+    topics = parse_topics(_need_file(opts, "topics"))
     fields = opts["fields"]
     index_dir = opts.get("index_dir")
     cfg_analyzer = read_config(index_dir) if index_dir else _analyzer(opts)
-    thesaurus = load_thesaurus(_need_path(opts, "thesaurus"), cfg_analyzer)
+    thesaurus = load_thesaurus(_need_file(opts, "thesaurus"), cfg_analyzer)
     policy = _make(ExpansionPolicy, opts)
     output = _need(opts, "output")
     expanded_topics = []
@@ -325,10 +338,11 @@ def cmd_expand(opts: dict) -> int:
         bag = build_query(topic, fields, cfg_analyzer)
         expanded = expand_query(bag, thesaurus, policy)
         expanded_topics.append(expand_topic(topic, bag, expanded))
-    write_topics(expanded_topics, output)
     stats = expansion_stats(topics, expanded_topics, fields, cfg_analyzer)
-    with replacing(opts.get("stats_output", output + ".stats.txt")) as fh:
-        fh.write(stats.as_text())
+    # both files or neither
+    with replacing(output) as fh, replacing(opts.get("stats_output") or output + ".stats.txt") as stats_fh:
+        write_topics(expanded_topics, fh)
+        stats_fh.write(stats.as_text())
     sys.stdout.write(stats.as_text())
     sys.stdout.write(f"expanded topics written to {output}\n")
     return 0
@@ -344,19 +358,22 @@ def _model_of_run_file(path: Path) -> str:
 
 
 def cmd_eval(opts: dict) -> int:
-    files = _files_of(_need(opts, "runs"), "run", "evaluate", suffix=".run")
-    qrels = parse_qrels(_need_path(opts, "qrels"))
+    files = _files_of(opts, "runs", "run", "evaluate", suffix=".run")
+    qrels = parse_qrels(_need_file(opts, "qrels"))
     _at_least(opts, "cutoff", 1)
     cutoff = opts["cutoff"]
-    out_dir = opts["output_dir"]
+    texts: dict[str, str] = {}
+    report = []
     for path in files:
         model = _model_of_run_file(path)
         result = evaluate_run(parse_run(path), qrels, cutoff, model=model)
-        _write_each(out_dir, {f"{model}.eval": result.as_text(), f"{model}.csv": result.as_csv()})
-        sys.stdout.write(
+        texts.update({f"{model}.eval": result.as_text(), f"{model}.csv": result.as_csv()})
+        report.append(
             f"{model}: relevant_retrieved={result.total_relevant_retrieved}"
             f"/{result.total_relevant} map={result.mean_average_precision:.6f}\n"
         )
+    _write_each(opts["output_dir"], texts)  # no output is replaced if any run file fails
+    sys.stdout.write("".join(report))
     return 0
 
 

@@ -96,67 +96,49 @@ def parse_topics(source) -> list[Topic]:
     """
     with reading(source) as fh:
         text = read_text(fh)
-        topics: list[Topic] = []
-        seen: set[str] = set()
-        in_top = False
-        current: str | None = None
-        fields: dict[str, list[str]] = {}
+        topics: dict[str, Topic] = {}
+        top_at: int | None = None  # offset of the open <top>; None outside one
+        field: str | None = None  # the field open inside it
+        fields: dict[str, str] = {}  # each field the topic opened, with its text
         pos = 0
-        top_at = 0  # offset of the open <top>
 
         def error(message: str, at: int) -> TopicError:
             line = text.count("\n", 0, at) + 1
             return TopicError(f"line {line}: {message}")
 
-        def flush(upto: int) -> None:
-            if in_top and current is not None:
-                fields.setdefault(current, []).append(text[pos:upto])
-
-        def finalize() -> None:
-            qid = " ".join("".join(fields.get("num", [])).split())
-            title = "".join(fields.get("title", [])).strip()
-            desc = "".join(fields.get("desc", [])).strip()
-            narr = "".join(fields.get("narr", [])).strip()
-            if not qid:
-                raise error("topic without <num>", top_at)
-            if " " in qid:
-                raise error(f"qid {qid!r} holds whitespace", top_at)
-            if qid in seen:
-                raise error(f"duplicate qid {qid!r}", top_at)
-            if not title:
-                raise error(f"topic {qid!r} without <title>", top_at)
-            if "desc" not in fields:
-                log.warning("topic %s has no <desc>; defaulting to empty", qid)
-            if "narr" not in fields:
-                log.warning("topic %s has no <narr>; defaulting to empty", qid)
-            seen.add(qid)
-            topics.append(Topic(qid=qid, title=title, description=desc, narrative=narr))
-
         for match in _TOPIC_TAG_RE.finditer(text):
-            closing = bool(match.group(1))
-            name = match.group(2).lower()
-            if name == "top":
-                if not closing:
-                    if in_top:
-                        raise error("unclosed <top> (nested <top> found)", match.start())
-                    in_top = True
-                    top_at = match.start()
-                    current = None
-                    fields = {}
-                else:
-                    if not in_top:
-                        raise error("stray </top>", match.start())
-                    flush(match.start())
-                    finalize()
-                    in_top = False
-                    current = None
-            elif in_top:
-                flush(match.start())
-                current = None if closing else name
+            closing, name, at = match.group(1), match.group(2).lower(), match.start()
+            if field is not None:
+                fields[field] += text[pos:at]
             pos = match.end()
-        if in_top:
+            if name != "top":
+                field = None if closing or top_at is None else name
+                if field:
+                    fields.setdefault(field, "")
+            elif not closing:
+                if top_at is not None:
+                    raise error("unclosed <top> (nested <top> found)", at)
+                top_at, fields = at, {}
+            elif top_at is None:
+                raise error("stray </top>", at)
+            else:
+                qid = " ".join(fields.get("num", "").split())
+                if not qid:
+                    raise error("topic without <num>", top_at)
+                if " " in qid:
+                    raise error(f"qid {qid!r} holds whitespace", top_at)
+                if qid in topics:
+                    raise error(f"duplicate qid {qid!r}", top_at)
+                if not fields.get("title", "").strip():
+                    raise error(f"topic {qid!r} without <title>", top_at)
+                for optional in ("desc", "narr"):
+                    if optional not in fields:
+                        log.warning("topic %s has no <%s>; defaulting to empty", qid, optional)
+                topics[qid] = Topic(qid, *(fields.get(n, "").strip() for n in ("title", "desc", "narr")))
+                top_at = field = None
+        if top_at is not None:
             raise error("unclosed <top> at end of input", top_at)
-        return topics
+        return list(topics.values())
 
 
 def write_topics(topics, out) -> None:

@@ -63,6 +63,8 @@ def replacing(path, mode: str = "w"):
     path = os.fspath(path)
     directory, name = os.path.split(path)
     make_directory(directory or ".", path)
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: Is a directory")
     tmp = os.path.join(directory, f".tmp.{os.urandom(6).hex()}.{name}")
     try:
         # created like open() creates files, so the process umask sets its mode

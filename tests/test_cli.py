@@ -789,6 +789,8 @@ def test_broken_gzip_corpus_file_is_a_data_error_naming_the_file(damage, tmp_pat
         (("run", "--config", "tag=a\tb"), "--tag: must be non-empty and hold no whitespace, got 'a\\tb'"),
         (("run", "--models", ",,"), "--models: names no model: ',,'"),
         (("verify", "--models", ",,"), "--models: names no model: ',,'"),
+        (("run", "--tag", "a/b"), "--tag: must hold no path separator, got 'a/b'"),
+        (("run", "--config", "tag=x/y"), "--tag: must hold no path separator, got 'x/y'"),
     ],
     ids=["run-cutoff-0", "run-cutoff-negative", "eval-cutoff-0", "config-fields-X",
          "expand-max-added-negative", "expand-max-synonyms-negative", "index-budget-negative",
@@ -797,7 +799,7 @@ def test_broken_gzip_corpus_file_is_a_data_error_naming_the_file(damage, tmp_pat
          "run-mu-negative", "config-mu-negative", "run-k3-negative", "verify-c-0", "run-k3-inf",
          "run-mu-inf", "config-c-inf", "verify-k1-inf", "expand-weight-nan", "expand-weight-inf",
          "expand-weight-1e5", "expand-weight-1e19", "run-tag-with-space", "run-tag-empty", "config-tag-with-tab",
-         "run-models-none", "verify-models-none"],
+         "run-models-none", "verify-models-none", "run-tag-with-slash", "config-tag-with-slash"],
 )
 def test_out_of_range_option_is_a_validation_error_naming_it(command, option, fixture_dir, workspace, tmp_path, capsys):
     name, flag, value = command
@@ -805,7 +807,14 @@ def test_out_of_range_option_is_a_validation_error_naming_it(command, option, fi
         (tmp_path / "exp.conf").write_text(value + "\n", encoding="utf-8")
         value = tmp_path / "exp.conf"
     out = tmp_path / "out"
-    required = {
+    assert run_cli(name, *_required_args(name, fixture_dir, workspace, out), flag, value) == 1
+    assert f"error: {option}" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def _required_args(command, fixture_dir, workspace, out):
+    """Flags that make `command` succeed on the fixture, writing under `out`."""
+    return {
         "run": ("--index-dir", workspace / "idx", "--topics", fixture_dir / "topics.txt", "--models", "BM25",
                 "--output-dir", out),
         "eval": ("--runs", workspace / "runs_before", "--qrels", fixture_dir / "qrels.txt", "--output-dir", out),
@@ -813,10 +822,44 @@ def test_out_of_range_option_is_a_validation_error_naming_it(command, option, fi
                    "--output", out),
         "index": ("--corpus", fixture_dir / "corpus.trec", "--index-dir", out),
         "verify": (),
-    }
-    assert run_cli(name, *required[name], flag, value) == 1
-    assert f"error: {option}" in capsys.readouterr().err
-    assert not out.exists() or not list(out.iterdir())
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("run", "--topics", "adir", "--topics: is a directory: {adir}"),
+        ("expand", "--topics", "adir", "--topics: is a directory: {adir}"),
+        ("expand", "--thesaurus", "adir", "--thesaurus: is a directory: {adir}"),
+        ("eval", "--qrels", "adir", "--qrels: is a directory: {adir}"),
+        ("index", "--stopwords", "adir", "--stopwords: is a directory: {adir}"),
+        ("expand", "--stopwords", "adir", "--stopwords: is a directory: {adir}"),
+        ("run", "--config", "adir", "--config: is a directory: {adir}"),
+        ("run", "--config", "tag=a\0b", "{conf}:2: config key tag: value holds a NUL byte"),
+        ("run", "--config", "output_dir=o\0x", "{conf}:2: config key output_dir: value holds a NUL byte"),
+        ("expand", "--config", "output=o\0x", "{conf}:2: config key output: value holds a NUL byte"),
+    ],
+    ids=["run-topics-dir", "expand-topics-dir", "expand-thesaurus-dir", "eval-qrels-dir", "index-stopwords-dir",
+         "expand-stopwords-dir", "run-config-dir", "config-tag-with-nul", "config-output-dir-with-nul",
+         "config-output-with-nul"],
+)
+def test_unreadable_input_or_config_value_is_a_validation_error_naming_it(
+    command, flag, value, message, fixture_dir, workspace, tmp_path, capsys
+):
+    adir, conf, out = tmp_path / "adir", tmp_path / "exp.conf", tmp_path / "out"
+    adir.mkdir()
+    if value == "adir":
+        value = adir
+    else:
+        conf.write_text("# one setting\n" + value + "\n", encoding="utf-8")
+        value = conf
+    # a flag given last wins over the same required flag
+    assert run_cli(command, *_required_args(command, fixture_dir, workspace, out), flag, value) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message.format(adir=adir, conf=conf)}" in err
+    assert "internal error" not in err
+    assert not out.exists()
+    assert not list(tmp_path.rglob(".tmp.*"))
 
 
 @pytest.mark.parametrize(
@@ -849,6 +892,29 @@ def test_unwritable_output_path_is_a_validation_error_naming_it(
     assert "internal error" not in err
     assert not list(tmp_path.rglob(".tmp.*"))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "somedir"]
+
+
+def test_a_bad_run_file_replaces_no_eval_file(workspace, fixture_dir, tmp_path, capsys):
+    runs, out = tmp_path / "runs", tmp_path / "eval"
+    shutil.copytree(workspace / "runs_before", runs)
+    (runs / "exp.ZZZ.run").write_text("junk\n", encoding="utf-8")  # evaluated after the good ones
+    shutil.copytree(workspace / "eval_before", out)
+    before = dir_hash(out)
+    # a cutoff of 1 would change every .eval and .csv file
+    assert run_cli("eval", "--runs", runs, "--qrels", fixture_dir / "qrels.txt", "--cutoff", 1,
+                   "--output-dir", out) == 2
+    assert f"error: {runs / 'exp.ZZZ.run'}: line 1: expected 6 fields, got 1" in capsys.readouterr().err
+    assert dir_hash(out) == before
+    assert not list(tmp_path.rglob(".tmp.*"))
+
+
+def test_expand_writes_its_topics_and_stats_or_neither(fixture_dir, tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    assert run_cli("expand", "--topics", fixture_dir / "topics.txt", "--thesaurus", fixture_dir / "thesaurus.tsv",
+                   "--output", tmp_path / "new" / "x.txt", "--stats-output", tmp_path / "adir") == 1
+    assert f"error: cannot write {tmp_path / 'adir'}: Is a directory" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.txt"))
+    assert not list(tmp_path.rglob(".tmp.*"))
 
 
 def test_index_header_missing_a_key_is_a_data_error_naming_it(workspace, fixture_dir, tmp_path, capsys):

@@ -104,6 +104,40 @@ class TestParseTopics:
         with pytest.raises(TopicError, match="unclosed <top>"):
             parse_topics(io.StringIO("<top><num>1</num><title>t</title>"))
 
+    FULL = "<top><num>1</num><title>t</title><desc>d</desc><narr>n</narr></top>"
+
+    @pytest.mark.parametrize(
+        "text, expected, warnings",
+        [
+            (FULL + "\n</top>", "line 2: stray </top>", []),
+            ("<top><num>1</num>\n<top><num>2</num></top>", "line 2: unclosed <top> (nested <top> found)", []),
+            (FULL + "\n\n<top><num>2</num><title>t</title>", "line 3: unclosed <top> at end of input", []),
+            ("\n<top><title>t</title></top>", "line 2: topic without <num>", []),
+            ("<top><num>1</num><desc>d</desc></top>", "line 1: topic '1' without <title>", []),
+            (FULL + "\n\n" + FULL, "line 3: duplicate qid '1'", []),
+            ("<top><num>1</num><title>t</title><narr>n</narr></top>", [Topic("1", "t", "", "n")],
+             ["topic 1 has no <desc>; defaulting to empty"]),
+            ("<top><num>1</num><title>t</title><desc></desc><narr>n</narr></top>", [Topic("1", "t", "", "n")], []),
+            ("<top><num>1</num><title>a</desc>b</title><desc>d</desc><narr>n</narr></top>",
+             [Topic("1", "a", "d", "n")], []),
+            ("x <num>9</num><title>u</title>\n" + FULL + " y </desc><narr>z", [Topic("1", "t", "d", "n")], []),
+            ("<top><num>1</num><title>t</title></desc><narr>n</narr></top>", [Topic("1", "t", "", "n")],
+             ["topic 1 has no <desc>; defaulting to empty"]),
+        ],
+        ids=["stray-close", "nested-top", "unclosed-top", "no-num", "no-title", "duplicate-qid", "no-desc-warns",
+             "empty-desc-is-silent", "field-ended-by-another-closer", "outside-top-ignored",
+             "a-closer-opens-no-field"],
+    )
+    def test_each_outcome_with_its_message(self, text, expected, warnings, caplog):
+        with caplog.at_level(logging.WARNING, logger="girit.retrieval"):
+            if isinstance(expected, str):
+                with pytest.raises(TopicError) as info:
+                    parse_topics(io.StringIO(text))
+                assert str(info.value) == expected
+            else:
+                assert parse_topics(io.StringIO(text)) == expected
+        assert [r.getMessage() for r in caplog.records] == warnings
+
 
 class TestBuildQuery:
     def test_title_only_multiplicity(self, cfg):
