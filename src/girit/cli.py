@@ -28,7 +28,6 @@ from .errors import (
     ToolkitError,
 )
 from .evaluation import (
-    EvalSummary,
     compare,
     evaluate_run,
     parse_qrels,
@@ -96,8 +95,8 @@ _OPTIONS = (
     _Option("--expanded-term-weight", "expand", float),
     _Option("--runs", "eval", many=True, help="run file or directory (repeatable)"),
     _Option("--qrels", "eval"),
-    _Option("--before", "compare", help="directory of .eval files without expansion"),
-    _Option("--after", "compare", help="directory of .eval files with expansion"),
+    _Option("--before", "compare", help=".eval file or directory, without expansion"),
+    _Option("--after", "compare", help=".eval file or directory, with expansion"),
     _Option("--instances", "verify", int, 20),
     _Option("--seed", "verify", int, 7),
     _Option("--max-docs", "verify", int, 150),
@@ -229,15 +228,17 @@ def _models(opts: dict) -> tuple[str, ...]:
 
 
 def _files_of(opts: dict, name: str, kind: str, purpose: str, suffix: str = "") -> list[Path]:
-    """Each path of option `name` as given; a directory stands for its files
-    ending in `suffix`, in name order."""
+    """Each path of option `name` (one or a list) as given; a directory stands
+    for its regular files ending in `suffix` whose names do not start with
+    ".", in name order, so that no temporary `replacing` left is an input."""
     paths = _need(opts, name)
+    paths = [paths] if isinstance(paths, str) else paths
     files: list[Path] = []
     for path in paths:
         if not os.path.exists(path):
             raise ConfigError(f"{_flag(name)}: {kind} path does not exist: {path}")
         if os.path.isdir(path):
-            found = (Path(path, n) for n in sorted(os.listdir(path)) if n.endswith(suffix))
+            found = (Path(path, n) for n in sorted(os.listdir(path)) if n.endswith(suffix) and not n.startswith("."))
             files.extend(f for f in found if f.is_file())
         else:
             files.append(Path(path))
@@ -289,7 +290,7 @@ def cmd_run(opts: dict) -> int:
         raise ConfigError(f"--tag: must be non-empty and hold no whitespace, got {tag!r}")
     if any(sep and sep in tag for sep in ("/", os.sep, os.altsep)):  # it names a file in --output-dir
         raise ConfigError(f"--tag: must hold no path separator, got {tag!r}")
-    out_dir = opts["output_dir"]
+    out_dir = _need(opts, "output_dir")
     params = _make(ModelParams, opts)
     models = _models(opts)
     bags = [build_query(t, opts["fields"], index.cfg) for t in topics]
@@ -362,6 +363,7 @@ def cmd_eval(opts: dict) -> int:
     qrels = parse_qrels(_need_file(opts, "qrels"))
     _at_least(opts, "cutoff", 1)
     cutoff = opts["cutoff"]
+    out_dir = _need(opts, "output_dir")
     texts: dict[str, str] = {}
     report = []
     for path in files:
@@ -372,32 +374,22 @@ def cmd_eval(opts: dict) -> int:
             f"{model}: relevant_retrieved={result.total_relevant_retrieved}"
             f"/{result.total_relevant} map={result.mean_average_precision:.6f}\n"
         )
-    _write_each(opts["output_dir"], texts)  # no output is replaced if any run file fails
+    _write_each(out_dir, texts)  # no output is replaced if any run file fails
     sys.stdout.write("".join(report))
     return 0
 
 
-def _summaries_of_dir(directory: str) -> dict[str, EvalSummary]:
-    if not os.path.isdir(directory):
-        raise ConfigError(f"not a directory: {directory}")
-    summaries: dict[str, EvalSummary] = {}
-    for name in sorted(os.listdir(directory)):
-        if name.endswith(".eval"):
-            summary = read_eval_summary(os.path.join(directory, name))
-            summaries[summary.model] = summary
-    if not summaries:
-        raise ConfigError(f"no .eval files in {directory}")
-    return summaries
-
-
 def cmd_compare(opts: dict) -> int:
-    before = _need(opts, "before")
-    after = _need(opts, "after")
+    # a later file for a model wins
+    before, after = (
+        {s.model: s for s in map(read_eval_summary, _files_of(opts, side, "eval", "compare", ".eval"))}
+        for side in ("before", "after")
+    )
+    out_dir = _need(opts, "output_dir")
     try:
-        report = compare(_summaries_of_dir(before), _summaries_of_dir(after))
+        report = compare(before, after)
     except ValueError as exc:
-        raise ConfigError(f"{before} and {after}: {exc}") from None
-    out_dir = opts["output_dir"]
+        raise ConfigError(f"{opts['before']} and {opts['after']}: {exc}") from None
     _write_each(out_dir, {"comparison.txt": report.as_text(), "comparison.csv": report.as_csv()})
     sys.stdout.write(report.as_text())
     return 0

@@ -114,8 +114,8 @@ _NOT_WHITESPACE = bytes(c for c in range(128) if not chr(c).isspace())
 def _parse_regular_run(text: str) -> dict[str, RankedList] | None:
     """One split and strided columns, or None unless the text is ASCII and
     every line is six fields and one space between each, each qid's lines are
-    contiguous and ranked "1".."n", and every score is a float. The result is
-    what `_parse_run_lines` gives for such a text."""
+    contiguous, ranked "1".."n" and of distinct docids, and every score is a
+    float. The result is what `_parse_run_lines` gives for such a text."""
     if not text.isascii() or not text.endswith("\n"):
         return None
     lines = text.count("\n")
@@ -145,6 +145,8 @@ def _parse_regular_run(text: str) -> dict[str, RankedList] | None:
             rank_tokens = list(map(str, range(1, n + 1)))
         if qid in runs or qids[start:end].count(qid) != n or ranks[start:end] != rank_tokens[:n]:
             return None
+        if len(set(docids[start:end])) != n:
+            return None
         runs[qid] = RankedList(qid=qid, entries=list(zip(docids[start:end], shared_ranks(n), scores[start:end])))
         start = end
     return runs
@@ -152,6 +154,7 @@ def _parse_regular_run(text: str) -> dict[str, RankedList] | None:
 
 def _parse_run_lines(text: str) -> dict[str, RankedList]:
     runs: dict[str, RankedList] = {}
+    lines_of: dict[str, dict[str, int]] = {}  # qid -> docid -> the line listing it
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -168,6 +171,9 @@ def _parse_run_lines(text: str) -> dict[str, RankedList]:
         expected = len(rl.entries) + 1
         if rank_ != expected:
             raise RunFileError(f"line {lineno}: rank {rank_} out of order (expected {expected})")
+        first = lines_of.setdefault(qid, {}).setdefault(docid, lineno)
+        if first != lineno:
+            raise RunFileError(f"line {lineno}: docid {docid!r} listed twice for qid {qid!r} (first at line {first})")
         rl.entries.append((docid, rank_, score))
     return runs
 

@@ -13,10 +13,11 @@ in a 64-bit BLAKE2b checksum of the preceding payload:
 
 header.json is removed first and written last, so a directory whose write was
 interrupted does not load. Internal ids are dense 0..N-1 in ingestion order.
-Building is single-writer; a built or loaded index is immutable and safe to
-share across threads. `Index.holding` returns a per-query view (a shallow
-copy) that holds that query's decoded posting lists; the index itself is
-never changed.
+Building is single-writer per directory, so a build removes what a killed
+one left there (`build_index_to_dir`); a built or loaded index is immutable
+and safe to share across threads. `Index.holding` returns a per-query view (a
+shallow copy) that holds that query's decoded posting lists; the index itself
+is never changed.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import struct
 import sys
 import tempfile
@@ -221,8 +223,7 @@ class Index:
 
     @classmethod
     def load(cls, directory) -> "Index":
-        header = _read_header(directory)
-        cfg = _config_from_header(header)
+        header, cfg = _read_header(directory)
         # a count that disagrees with the header names both files
         against = f"does not match {os.path.join(directory, HEADER_FILE)}"
         docs_path = os.path.join(directory, DOCTABLE_FILE)
@@ -552,7 +553,9 @@ def _write_index(directory, cfg: AnalyzerConfig, docids, lengths, batches) -> in
     return vocabulary
 
 
-def _read_header(directory) -> dict:
+def _read_header(directory) -> tuple[dict, AnalyzerConfig]:
+    """The header of the index in `directory`, and the analyzer configuration
+    it records, whose fingerprint must be the one it stores."""
     path = os.path.join(directory, HEADER_FILE)
     if not os.path.exists(path):
         raise IndexStoreError(f"{directory}: not an index directory (no {HEADER_FILE})")
@@ -574,31 +577,33 @@ def _read_header(directory) -> dict:
         for key, kind in kinds.items():
             if type(table.get(key)) is not kind:  # exactly: a bool is an int too
                 raise IndexStoreError(f"{path}: key {prefix + key!r} is missing or not of type {kind.__name__}")
-    if not all(isinstance(word, str) for word in header["analyzer"]["stopwords"]):
-        raise IndexStoreError(f"{path}: key 'analyzer.stopwords' must hold strings")
-    if header["analyzer"]["unicode_normalization"] not in UNICODE_FORMS:
-        raise IndexStoreError(f"{path}: key 'analyzer.unicode_normalization' must be one of {', '.join(UNICODE_FORMS)}")
-    return header
-
-
-# the header keys that Index.load and _config_from_header read, and their types
-_HEADER_KEYS = {"num_documents": int, "total_tokens": int, "vocabulary_size": int, "analyzer": dict}
-_ANALYZER_KEYS = {"lowercase_latin": bool, "unicode_normalization": str, "min_token_length": int, "stopwords": list}
-
-
-def _config_from_header(header: dict) -> AnalyzerConfig:
     a = header["analyzer"]
-    return AnalyzerConfig(
+    if not all(isinstance(word, str) for word in a["stopwords"]):
+        raise IndexStoreError(f"{path}: key 'analyzer.stopwords' must hold strings")
+    if a["unicode_normalization"] not in UNICODE_FORMS:
+        raise IndexStoreError(f"{path}: key 'analyzer.unicode_normalization' must be one of {', '.join(UNICODE_FORMS)}")
+    cfg = AnalyzerConfig(
         lowercase_latin=a["lowercase_latin"],
         unicode_normalization=a["unicode_normalization"],
         stopword_list=frozenset(a["stopwords"]),
         min_token_length=a["min_token_length"],
     )
+    if cfg.fingerprint() != header["fingerprint"]:
+        raise IndexStoreError(
+            f"{path}: stored fingerprint {header['fingerprint']!r} is not that of the analyzer settings it records "
+            f"({cfg.fingerprint()!r})"
+        )
+    return header, cfg
+
+
+# the header keys that Index.load and _read_header read, and their types
+_HEADER_KEYS = {"num_documents": int, "total_tokens": int, "vocabulary_size": int, "analyzer": dict, "fingerprint": str}
+_ANALYZER_KEYS = {"lowercase_latin": bool, "unicode_normalization": str, "min_token_length": int, "stopwords": list}
 
 
 def read_config(directory) -> AnalyzerConfig:
     """The analyzer configuration of an index, from its header alone."""
-    return _config_from_header(_read_header(directory))
+    return _read_header(directory)[1]
 
 
 # A run file: this header (terms, rows); the rows as (internal id, tf)
@@ -937,10 +942,17 @@ def build_index_to_dir(docs, cfg: AnalyzerConfig, directory, memory_budget_mb: i
     Returns the statistics of what was written, counted while building; the
     directory is not read back. The files are the same whatever the budget
     and however many spill runs it took. The runs live in a `.build.*`
-    directory inside `directory` until the build ends. `seen` may be the set
-    that `parse_corpus` fills as it yields `docs`, so the docids are held once.
+    directory inside `directory` until the build ends; those of a killed
+    build, and any `.tmp.*` file it left, are removed first. `seen` may be
+    the set that `parse_corpus` fills as it yields `docs`, so the docids are
+    held once.
     """
     make_directory(directory, directory)
+    for entry in list(os.scandir(directory)):
+        if entry.name.startswith(".build.") and entry.is_dir(follow_symlinks=False):
+            shutil.rmtree(entry.path)
+        elif entry.name.startswith(".tmp.") and entry.is_file(follow_symlinks=False):
+            os.unlink(entry.path)
     with tempfile.TemporaryDirectory(prefix=".build.", dir=directory) as spill_dir:
         builder = _Builder(cfg, budget_bytes=memory_budget_mb << 20, spill_dir=spill_dir, seen=seen)
         builder.add_all(docs)

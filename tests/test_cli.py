@@ -635,6 +635,64 @@ class TestCompareCommand:
         assert run_cli("compare", "--before", ws / "eval_a", "--after", ws / "eval_b") == 1
 
 
+class TestDotNamedFilesAreNotInputs:
+    """`replacing` writes `.tmp.<hex>.<name>` and renames it when the file is
+    whole, so a killed `run` or `eval` leaves such a file behind; a
+    directory given as an input never stands for it."""
+
+    TMP = ".tmp.0123456789ab."
+
+    def _plant_partial_run(self, workspace, runs):
+        lines = (workspace / "runs_before" / "exp.BM25.run").read_text(encoding="utf-8").splitlines(keepends=True)
+        (runs / (self.TMP + "exp.BM25.run")).write_text("".join(lines[: len(lines) // 3]), encoding="utf-8")
+
+    def test_a_runs_directory_holding_only_a_temporary_has_no_run_files(self, workspace, fixture_dir, tmp_path,
+                                                                        capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        self._plant_partial_run(workspace, runs)
+        assert run_cli("eval", "--runs", runs, "--qrels", fixture_dir / "qrels.txt",
+                       "--output-dir", tmp_path / "eval") == 1
+        assert capsys.readouterr().err == f"error: --runs: no run files to evaluate in {runs}\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_a_temporary_beside_the_run_files_changes_no_output(self, workspace, fixture_dir, tmp_path, capsys):
+        reports = {}
+        for name in ("clean", "planted"):
+            shutil.copytree(workspace / "runs_before", tmp_path / name)
+            if name == "planted":
+                self._plant_partial_run(workspace, tmp_path / name)
+            assert run_cli("eval", "--runs", tmp_path / name, "--qrels", fixture_dir / "qrels.txt", "--cutoff", 50,
+                           "--output-dir", tmp_path / f"{name}-eval") == 0
+            reports[name] = capsys.readouterr().out
+        assert reports["planted"] == reports["clean"]
+        assert reports["clean"].count("BM25:") == 1
+        assert dir_hash(tmp_path / "planted-eval") == dir_hash(tmp_path / "clean-eval") == dir_hash(
+            workspace / "eval_before")
+
+    def test_compare_reads_no_temporary_eval_file(self, workspace, tmp_path, capsys):
+        before = tmp_path / "eval_before"
+        shutil.copytree(workspace / "eval_before", before)
+        (before / "BM25.eval").rename(before / (self.TMP + "BM25.eval"))
+        assert run_cli("compare", "--before", before, "--after", workspace / "eval_after",
+                       "--output-dir", tmp_path / "cmp") == 1
+        assert capsys.readouterr().err == (
+            f"error: {before} and {workspace / 'eval_after'}: model sets differ between the two sides: ['BM25']\n"
+        )
+        assert not (tmp_path / "cmp").exists()
+
+    def test_compare_reads_an_eval_file_given_as_it_is(self, workspace, tmp_path, capsys):
+        """As `eval` reads a run file given by name, `compare` reads an .eval
+        file; its name does not matter."""
+        named = tmp_path / (self.TMP + "BM25.eval")
+        shutil.copy(workspace / "eval_before" / "BM25.eval", named)
+        assert run_cli("compare", "--before", named, "--after", workspace / "eval_after" / "BM25.eval",
+                       "--output-dir", tmp_path / "cmp") == 0
+        rows = (tmp_path / "cmp" / "comparison.csv").read_text(encoding="utf-8").splitlines()
+        whole = (workspace / "cmp" / "comparison.csv").read_text(encoding="utf-8").splitlines()
+        assert rows == [whole[0], *(row for row in whole if row.startswith("BM25,"))]
+
+
 class TestVerifyCommand:
     def test_ranker_agrees_with_reference(self, capsys):
         assert run_cli("verify", "--instances", 3, "--seed", 5, "--models", "BM25,DPH,InL2") == 0
@@ -821,8 +879,28 @@ def _required_args(command, fixture_dir, workspace, out):
         "expand": ("--topics", fixture_dir / "topics.txt", "--thesaurus", fixture_dir / "thesaurus.tsv",
                    "--output", out),
         "index": ("--corpus", fixture_dir / "corpus.trec", "--index-dir", out),
+        "compare": ("--before", workspace / "eval_before", "--after", workspace / "eval_after", "--output-dir", out),
         "verify": (),
     }[command]
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "compare"])
+@pytest.mark.parametrize("through", ["flag", "config"])
+def test_empty_output_dir_is_a_validation_error_naming_it(
+    command, through, fixture_dir, workspace, tmp_path, monkeypatch, capsys
+):
+    """An empty value (a config line left blank, say) names no directory,
+    not the working one."""
+    monkeypatch.chdir(tmp_path)
+    args = _required_args(command, fixture_dir, workspace, tmp_path / "out")[:-2]  # all but --output-dir
+    if through == "flag":
+        args += ("--output-dir", "")
+    else:
+        (tmp_path / "exp.conf").write_text("output_dir=\n", encoding="utf-8")
+        args += ("--config", tmp_path / "exp.conf")
+    assert run_cli(command, *args) == 1
+    assert capsys.readouterr().err == "error: missing required option: --output-dir\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["exp.conf"] if through == "config" else [])
 
 
 @pytest.mark.parametrize(
@@ -929,6 +1007,30 @@ def test_index_header_missing_a_key_is_a_data_error_naming_it(workspace, fixture
                    "--output-dir", tmp_path / "runs")
     assert code == 2
     assert f"error: {idx / 'header.json'}: key 'num_documents' is missing or not of type int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "expand"])
+def test_index_header_whose_settings_lost_their_fingerprint_is_a_data_error(
+    command, workspace, fixture_dir, tmp_path, capsys
+):
+    """A header edited and re-sealed passes its checksum; the fingerprint it
+    stores must still be that of the analyzer settings it records."""
+    idx = tmp_path / "idx"
+    shutil.copytree(workspace / "idx", idx)
+    header = json.loads((idx / "header.json").read_bytes()[:-8])
+    header["analyzer"]["lowercase_latin"] = False
+    write_checksummed(idx / "header.json", json.dumps(header, sort_keys=True).encode("utf-8"))
+    args = {
+        "run": ("--topics", fixture_dir / "topics.txt", "--models", "BM25", "--output-dir", tmp_path / "out"),
+        "expand": ("--topics", fixture_dir / "topics.txt", "--thesaurus", fixture_dir / "thesaurus.tsv",
+                   "--output", tmp_path / "out" / "x.txt"),
+    }[command]
+    assert run_cli(command, "--index-dir", idx, *args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {idx / 'header.json'}: stored fingerprint '7b6de6e5361cdb0b' is not that of the analyzer settings "
+        "it records ('1a32fdd90151fc46')\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def _last_id_past_the_end(gaps, tfs, n):

@@ -173,6 +173,15 @@ class TestRunParser:
         with pytest.raises(RunFileError, match="bad rank/score"):
             parse_run(io.StringIO("q1 Q0 d1 1 xyz t\n"))
 
+    def test_docid_listed_twice_for_a_qid_names_both_lines(self):
+        """Counted twice, it would be relevant retrieved twice: recall over 1."""
+        text = "q1 Q0 d1 1 2.0 t\nq2 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\nq1 Q0 d1 3 0.5 t\n"
+        with pytest.raises(RunFileError, match=r"^line 4: docid 'd1' listed twice for qid 'q1' \(first at line 1\)$"):
+            parse_run(io.StringIO(text))
+        regular = "".join(f"q01 Q0 d000000 {r} 1.000000 x\n" for r in range(1, 11))
+        with pytest.raises(RunFileError, match=r"^line 2: docid 'd000000' listed twice for qid 'q01' \(first at line 1\)$"):
+            parse_run(io.BytesIO(regular.encode("ascii")))
+
     def test_ranks_are_one_to_n_after_a_file_with_a_longer_qid(self):
         def text(sizes):
             return "".join(f"{qid} Q0 d{r} {r} {1 / r:.6f} t\n" for qid, n in sizes.items() for r in range(1, n + 1))
@@ -212,11 +221,11 @@ def _render(lines, end="\n"):
 @st.composite
 def _regular_runs(draw):
     """Lines of a run file as `write_run` writes them: each qid once, its
-    lines contiguous and ranked 1..n."""
+    lines contiguous, ranked 1..n and of distinct docids."""
     lines = []
     for qid in draw(st.lists(st.sampled_from(["q1", "q2", "301", "q%s", "Q0"]), unique=True, max_size=4)):
-        for r in range(1, draw(st.integers(1, 4)) + 1):
-            lines.append([qid, "Q0", draw(_DOCIDS), str(r), draw(_SCORES), "girit"])
+        for r, docid in enumerate(draw(st.lists(_DOCIDS, min_size=1, max_size=4, unique=True)), start=1):
+            lines.append([qid, "Q0", docid, str(r), draw(_SCORES), "girit"])
     return lines
 
 
@@ -255,11 +264,22 @@ def _qid_comes_back(lines, i):
         lines.append([qid, "Q0", "dx", str(rank), "1.000000", "girit"])
 
 
+def _docid_repeated(lines, i):
+    """The docid of line i once more for its qid, ranked next, right after
+    that qid's last line: a text regular but for the repeat."""
+    if lines and len(lines[i]) > 2:
+        qid = lines[i][0]
+        last = max(j for j, fields in enumerate(lines) if fields[:1] == [qid])
+        rank = sum(fields[:1] == [qid] for fields in lines) + 1
+        lines.insert(last + 1, [qid, "Q0", lines[i][2], str(rank), "1.000000", "girit"])
+
+
 _TEXT_EDITS = {
     "blank line": lambda lines, i: lines.insert(i, []),
     "spaces line": lambda lines, i: lines.insert(i, ["", ""]),
     "qid comes back": _qid_comes_back,
     "line repeated last": lambda lines, i: lines.append(list(lines[i])) if lines else None,
+    "docid repeated": _docid_repeated,
 }
 
 
@@ -313,11 +333,12 @@ class TestBulkRunParser:
             "q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 0.5\n",
             "q1  Q0 d1 1 1.0\n",
             "",
+            "q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 0.5 t\nq1 Q0 d1 3 0.2 t\n",
         ],
         ids=[
             "tab", "double-space", "leading-space", "zero-padded-rank", "blank-line", "crlf",
             "no-final-newline", "non-ascii-docid", "qid-comes-back", "qid-restarts", "skipped-rank", "bad-score",
-            "five-fields", "five-fields-five-spaces", "empty",
+            "five-fields", "five-fields-five-spaces", "empty", "docid-repeated",
         ],
     )
     def test_irregular_text_takes_the_line_loop(self, text):

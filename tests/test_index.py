@@ -433,11 +433,25 @@ class TestPersistence:
                 lambda h: h["analyzer"].update(unicode_normalization="XYZ"),
                 "key 'analyzer.unicode_normalization' must be one of NFC, NFD, NFKC, NFKD",
             ),
+            (lambda h: h.pop("fingerprint"), "key 'fingerprint' is missing or not of type str"),
+            (lambda h: h.update(fingerprint=7), "key 'fingerprint' is missing or not of type str"),
+            # the settings change and the stored fingerprint does not
+            (
+                lambda h: h["analyzer"].update(lowercase_latin=False),
+                "stored fingerprint '7b6de6e5361cdb0b' is not that of the analyzer settings it records "
+                "('1a32fdd90151fc46')",
+            ),
+            (
+                lambda h: h["analyzer"].update(stopwords=["a"]),
+                "stored fingerprint '7b6de6e5361cdb0b' is not that of the analyzer settings it records "
+                "('fec7c5144a34340d')",
+            ),
         ],
         ids=[
             "no-num_documents", "no-total_tokens", "no-vocabulary_size", "no-analyzer", "no-stopwords",
             "no-min_token_length", "str-num_documents", "bool-total_tokens", "list-analyzer",
             "int-lowercase_latin", "null-unicode_normalization", "int-stopword", "unknown-unicode_normalization",
+            "no-fingerprint", "int-fingerprint", "flipped-lowercase_latin", "added-stopword",
         ],
     )
     def test_header_key_missing_or_of_the_wrong_type_is_named(self, cfg, tmp_path, damage, message):
@@ -461,6 +475,21 @@ class TestPersistence:
 
 
 class TestCrashSafety:
+    def test_rebuild_removes_what_a_killed_build_left(self, cfg, tmp_path):
+        """A killed build leaves its spill runs in `.build.*` and a temporary
+        `.tmp.*` file; the next build into the directory removes both."""
+        docs = synth_corpus(random.Random(1), 80)
+        build_index_to_dir(docs, cfg, tmp_path / "clean")
+        directory = tmp_path / "idx"
+        build_index_to_dir(docs, cfg, directory)
+        (directory / ".build.stale").mkdir()
+        (directory / ".build.stale" / "run00000").write_bytes(b"\0" * 4096)
+        (directory / ".tmp.0123456789ab.postings.bin").write_bytes(b"")
+        build_index_to_dir(docs, cfg, directory, memory_budget_mb=0)
+        assert not [f.name for f in directory.iterdir() if f.name.startswith(".")]
+        for name in (HEADER_FILE, DOCTABLE_FILE, LEXICON_FILE, POSTINGS_FILE):
+            assert (directory / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
     def test_interrupted_rebuild_does_not_load(self, cfg, tmp_path, monkeypatch):
         directory = tmp_path / "idx"
         build_index_to_dir(synth_corpus(random.Random(1), 80), cfg, directory)

@@ -293,7 +293,7 @@ def test_option_values_fail_cleanly_or_not_at_all(clean, setting):
             flags += ["--config", config_flag]
         before = _snapshot(w)
         cwd = os.getcwd()
-        os.chdir(w)  # an empty output directory is the working directory
+        os.chdir(w)  # a relative output path (an empty one, say) would land here, where the snapshot sees it
         try:
             code, err = cli(command, *flags)
         finally:
