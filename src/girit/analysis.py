@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 import unicodedata
 from dataclasses import dataclass, field
@@ -69,17 +70,19 @@ class _SeparatorTable(dict):
 _SEPARATORS = _SeparatorTable()
 
 
+_JOINER_RE = re.compile(f"[{ZWNJ}{ZWJ}]")
+
+
 def _resolve_joiners(text: str) -> str:
-    out = []
-    last = len(text) - 1
-    for i, ch in enumerate(text):
-        if ch in _JOINERS:
-            if 0 < i and i < last and _is_letter(text[i - 1]) and _is_letter(text[i + 1]):
-                out.append(ch)
-            # otherwise dropped: the joiner neither splits nor joins
-        else:
-            out.append(ch)
-    return "".join(out)
+    """`text` with each joiner kept if both its neighbours in `text` are
+    letters, and dropped otherwise: a dropped joiner neither splits nor joins."""
+
+    def resolve(match) -> str:
+        i = match.start()
+        flanked = 0 < i < len(text) - 1 and _is_letter(text[i - 1]) and _is_letter(text[i + 1])
+        return match.group() if flanked else ""
+
+    return _JOINER_RE.sub(resolve, text)
 
 
 def tokenize(text: str) -> list[str]:

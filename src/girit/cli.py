@@ -216,6 +216,31 @@ def _analyzer(opts: dict) -> AnalyzerConfig:
     return cfg
 
 
+# the analyzer options; each sets the AnalyzerConfig field of its name, but
+# `stopwords`, a file, sets stopword_list
+_ANALYZER_OPTIONS = ("lowercase_latin", "unicode_normalization", "min_token_length", "stopwords")
+
+
+def _index_analyzer(opts: dict) -> AnalyzerConfig:
+    """The analyzer configuration the index in --index-dir records. An
+    analyzer option given as well must agree with it: a config file shared
+    with `index` is accepted, a setting that would analyze otherwise is not."""
+    index_dir = opts["index_dir"]
+    cfg = read_config(index_dir)
+    for option in _OPTIONS:
+        if option.name not in _ANALYZER_OPTIONS or option.name not in opts:
+            continue
+        given = opts[option.name]
+        if option.name == "stopwords":
+            words = load_stopwords(_need_file(opts, "stopwords"), cfg) if given else frozenset()
+            agrees = words == cfg.stopword_list
+        else:
+            agrees = given == getattr(cfg, option.name)
+        if not agrees:
+            raise ConfigError(f"{option.flag}: {given!r} disagrees with the analyzer settings of the index in {index_dir}")
+    return cfg
+
+
 def _models(opts: dict) -> tuple[str, ...]:
     spec = opts["models"]
     if spec in ("all", ""):
@@ -329,8 +354,7 @@ def cmd_run(opts: dict) -> int:
 def cmd_expand(opts: dict) -> int:
     topics = parse_topics(_need_file(opts, "topics"))
     fields = opts["fields"]
-    index_dir = opts.get("index_dir")
-    cfg_analyzer = read_config(index_dir) if index_dir else _analyzer(opts)
+    cfg_analyzer = _index_analyzer(opts) if opts.get("index_dir") else _analyzer(opts)
     thesaurus = load_thesaurus(_need_file(opts, "thesaurus"), cfg_analyzer)
     policy = _make(ExpansionPolicy, opts)
     output = _need(opts, "output")
@@ -359,15 +383,19 @@ def _model_of_run_file(path: Path) -> str:
 
 
 def cmd_eval(opts: dict) -> int:
-    files = _files_of(opts, "runs", "run", "evaluate", suffix=".run")
+    runs: dict[str, Path] = {}  # model -> its one run file; outputs are named by model
+    for path in _files_of(opts, "runs", "run", "evaluate", suffix=".run"):
+        model = _model_of_run_file(path)
+        if model in runs:
+            raise ConfigError(f"--runs: {runs[model]} and {path} are both run files of model {model}")
+        runs[model] = path
     qrels = parse_qrels(_need_file(opts, "qrels"))
     _at_least(opts, "cutoff", 1)
     cutoff = opts["cutoff"]
     out_dir = _need(opts, "output_dir")
     texts: dict[str, str] = {}
     report = []
-    for path in files:
-        model = _model_of_run_file(path)
+    for model, path in runs.items():
         result = evaluate_run(parse_run(path), qrels, cutoff, model=model)
         texts.update({f"{model}.eval": result.as_text(), f"{model}.csv": result.as_csv()})
         report.append(

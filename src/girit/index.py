@@ -336,10 +336,6 @@ def _block_error(offset: int, detail: str) -> IndexStoreError:
     return IndexStoreError(f"varint block at byte offset {offset}: {detail}")
 
 
-# candidate records, or payload bytes, a step of _read_records handles at a time
-_LOAD_CHUNK = 1 << 14
-
-
 def _varints(data: np.ndarray, first: np.ndarray, last: np.ndarray):
     """(values, widths) of the varints at data[first:last + 1], where `last`
     is each one's terminator.
@@ -359,127 +355,78 @@ def _varints(data: np.ndarray, first: np.ndarray, last: np.ndarray):
     return values, widths
 
 
-def _after(ends: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The byte after terminator idx - 1 for each of `idx`, 0 for idx 0."""
-    return np.where(idx > 0, ends[idx - 1].astype(np.int64) + 1, 0)
-
-
 def _read_records(path, payload: bytes, count: int) -> tuple[list[str], np.ndarray]:
     """The strings and numbers of a doctable or lexicon payload: per record
     varint(UTF-8 length), the string, then `count` varints.
 
-    Every byte after a terminator (a byte below 0x80) may start a record.
-    Each candidate's successor comes from whole-array work: skip its length
-    varint, the string and `count` varints. The chain of successors from
-    byte 0 is followed one Python step per record, and only its records are
-    decoded. A record that breaks the format raises IndexStoreError naming
+    One Python step per record reads its length (one byte below 128 in the
+    common case), decodes its string and jumps past its numbers: they end on
+    the `count` terminators (bytes below 0x80) at or after the string's end.
+    The numbers are then decoded in bulk, one `_varints` call per number of
+    a record. A record that breaks the format raises IndexStoreError naming
     `path` and a byte offset.
     """
     size = len(payload)
     data = np.frombuffer(payload, dtype=np.uint8)
-    # byte positions and candidate numbers, which stay below the payload size
-    dtype = np.int32 if size < 1 << 30 else np.int64
-    # 1 at each terminator, in 256-byte blocks padded past the end
-    blocks = np.zeros(((size >> 8) + 1, 256), dtype=np.uint8)
-    is_end = blocks.reshape(-1)
-    is_end[:size] = data < 0x80
-    ends = np.empty(int(np.count_nonzero(is_end)), dtype=dtype)
-    filled = 0
-    for a in range(0, size, _LOAD_CHUNK):
-        found = np.flatnonzero(is_end[a : a + _LOAD_CHUNK]) + a
-        ends[filled : filled + found.size] = found
-        filled += found.size
-    total = len(ends)
-    # the number of terminators before byte p, for any p <= size, is
-    # block_rank[p >> 8] + within[p]: those before p's block and those
-    # before p in it, below 256
-    block_rank = np.zeros(len(blocks), dtype=dtype)
-    np.cumsum(blocks[:-1].sum(axis=1, dtype=dtype), out=block_rank[1:])
-    within = np.zeros_like(blocks)
-    np.cumsum(blocks[:, :-1], axis=1, dtype=np.uint8, out=within[:, 1:])
-    within = within.reshape(-1)
-    del blocks, is_end
-
-    # candidate i starts after terminator i - 1, so its length varint ends
-    # at terminator i; its successor is the candidate after its last number,
-    # or total + 1 when it has none
-    successor = np.empty(total, dtype=dtype)
-    for a in range(0, total, _LOAD_CHUNK):
-        b = min(total, a + _LOAD_CHUNK)
-        last = ends[a:b].astype(np.int64)
-        first = np.empty_like(last)
-        first[0] = ends[a - 1] + 1 if a else 0
-        first[1:] = last[:-1] + 1
-        length, width = _varints(data, first, last)
-        # where its first number starts; a record needs a byte there
-        stop = last + 1 + np.minimum(length, size)
-        ok = (width <= MAX_VARINT_BYTES) & (stop < size)
-        # the first terminator at or after each stop
-        at = np.minimum(stop, size)
-        found = block_rank[at >> 8] + within[at]
-        successor[a:b] = np.where(ok, np.minimum(found + count, total + 1), total + 1)
-    del block_rank, within
-
-    chain = array("q")
-    append = chain.append
-    step = memoryview(successor)
-    i = 0
-    while i < total:
-        append(i)
-        i = step[i]
-    if i > total:
-        raise _record_error(path, data, ends, chain[-1])
+    # byte positions and terminator counts, which are at most the payload size
+    dtype = np.int32 if size < 1 << 31 else np.int64
+    is_end = data < 0x80
+    # at[p]: the number of terminators before byte p, for p = 0..size
+    at = np.zeros(size + 1, dtype=dtype)
+    np.cumsum(is_end, dtype=dtype, out=at[1:])
+    total = int(at[-1])
+    # ends[i]: the byte position of terminator i
+    ends = np.flatnonzero(is_end).astype(dtype)
+    del is_end
+    # the byte after the last terminator, where the last record must end
     tail = int(ends[-1]) + 1 if total else 0
+
+    terminators_before, terminator = memoryview(at), memoryview(ends)
+    strings = []
+    stops = array("q")  # where each record's string ends and its numbers start
+    p = 0
+    while p < tail:
+        length, s = payload[p], p + 1
+        if length >= 0x80:
+            s = terminator[terminators_before[p]] + 1
+            if s - p > MAX_VARINT_BYTES:
+                raise IndexStoreError(f"{path}: varint at byte offset {p} is longer than {MAX_VARINT_BYTES} bytes")
+            length = sum((b & 0x7F) << 7 * k for k, b in enumerate(payload[p:s]))
+        stop = s + length
+        if stop > size:
+            raise IndexStoreError(
+                f"{path}: record at byte offset {p}: a string of {length} bytes "
+                f"runs past the end of the {size}-byte payload"
+            )
+        # its numbers end on terminators at[stop] to k - 1, and at[size] is total
+        k = terminators_before[stop] + count
+        if k > total:
+            raise IndexStoreError(f"{path}: record at byte offset {p} is truncated")
+        try:
+            strings.append(payload[s:stop].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise IndexStoreError(
+                f"{path}: string at byte offset {s} is not UTF-8: {exc.reason} at byte offset {s + exc.start}"
+            ) from None
+        stops.append(stop)
+        p = terminator[k - 1] + 1
     if tail != size:
         raise IndexStoreError(f"{path}: varint at byte offset {tail} has no terminator")
 
-    records = np.frombuffer(chain, dtype=np.int64)
-    # the terminator index of each record's first number
-    at = successor[records].astype(np.int64) - count
-    del step, successor
-    first = ends[records].astype(np.int64) + 1
-    length, _ = _varints(data, _after(ends, records), first - 1)
-    # the first number starts right after the string, each later one after a terminator
-    start = first + length
-    numbers = np.empty((len(records), count), dtype=np.int64)
+    # one number of every record at a time, so that few temporaries are
+    # alive beside the strings; the first starts where the string stops
+    start = np.frombuffer(stops, dtype=np.int64)
+    first_end = at[start]  # the terminator of each record's first number
+    del at, terminators_before
+    numbers = np.empty((len(start), count), dtype=np.int64)
     for j in range(count):
-        last = ends[at + j].astype(np.int64)
+        last = ends[first_end + j].astype(np.int64)
         numbers[:, j], widths = _varints(data, start, last)
         if widths.size and widths.max() > MAX_VARINT_BYTES:
             wide = int(start[np.argmax(widths)])
             raise IndexStoreError(f"{path}: varint at byte offset {wide} is longer than {MAX_VARINT_BYTES} bytes")
         start = last + 1
-    del ends, at, start, last
-    return _strings(path, payload, first, length), numbers
-
-
-def _record_error(path, data, ends, i: int) -> IndexStoreError:
-    """Why candidate record `i` has no successor."""
-    idx = np.array([i])
-    first = _after(ends, idx)
-    length, width = _varints(data, first, ends[idx].astype(np.int64))
-    start = int(first[0])
-    if width[0] > MAX_VARINT_BYTES:
-        return IndexStoreError(f"{path}: varint at byte offset {start} is longer than {MAX_VARINT_BYTES} bytes")
-    if int(ends[i]) + 1 + int(length[0]) > len(data):
-        return IndexStoreError(
-            f"{path}: record at byte offset {start}: a string of {int(length[0])} bytes "
-            f"runs past the end of the {len(data)}-byte payload"
-        )
-    return IndexStoreError(f"{path}: record at byte offset {start} is truncated")
-
-
-def _strings(path, payload: bytes, first: np.ndarray, length: np.ndarray) -> list[str]:
-    """The UTF-8 strings at payload[first:first + length], each decoded on its own."""
-    strings = []
-    for a, b in zip(first.tolist(), (first + length).tolist()):
-        try:
-            strings.append(payload[a:b].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise IndexStoreError(
-                f"{path}: string at byte offset {a} is not UTF-8: {exc.reason} at byte offset {a + exc.start}"
-            ) from None
-    return strings
+    return strings, numbers
 
 
 def _records(strings: list[str], numbers: np.ndarray) -> bytearray:

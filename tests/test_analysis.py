@@ -40,6 +40,20 @@ def token_chars_ok(token: str) -> bool:
     return True
 
 
+def _joiners_by_loop(text: str) -> str:
+    """The joiner rule as one step per character: a joiner stays if both its
+    neighbours are letters and is dropped otherwise."""
+    out = []
+    last = len(text) - 1
+    for i, ch in enumerate(text):
+        if ch in (ZWJ, ZWNJ):
+            if 0 < i < last and unicodedata.category(text[i - 1])[0] == "L" == unicodedata.category(text[i + 1])[0]:
+                out.append(ch)
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 class TestTokenize:
     def test_punctuation_split(self):
         assert tokenize("tv, television.") == ["tv", "television"]
@@ -67,6 +81,12 @@ class TestTokenize:
         assert tokenize(f"{ZWJ}ab") == ["ab"]
         assert tokenize(f"ab{ZWNJ}1") == ["ab1"]  # dropped, not a separator
         assert tokenize(f", {ZWNJ},") == []
+
+    @settings(max_examples=500)
+    @given(st.text(st.sampled_from(f"aZકખ\u0abe\u0acd9\u0ae7{ZWJ}{ZWNJ} ,\n_"), max_size=40))
+    def test_joiners_resolve_as_the_character_loop_does(self, text):
+        expected = _joiners_by_loop(text).translate(girit.analysis._SEPARATORS).split()
+        assert tokenize(text) == expected
 
     def test_combining_marks_stay_in_token(self):
         # base + matra (category Mc) form one token

@@ -583,6 +583,55 @@ class TestExpandCommand:
         assert "gamma" in (tmp_path / "default.txt").read_text(encoding="utf-8")
 
 
+class TestExpandAgainstTheIndex:
+    """With --index-dir, `expand` analyzes as the index does; an analyzer
+    option that disagrees with the index is an error, one that agrees is not."""
+
+    @pytest.fixture
+    def case(self, fixture_dir, tmp_path):
+        (tmp_path / "stop.txt").write_text("The\nof\n", encoding="utf-8")
+        assert run_cli("index", "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx",
+                       "--stopwords", tmp_path / "stop.txt") == 0
+        expand = ("expand", "--topics", fixture_dir / "topics.txt", "--thesaurus", fixture_dir / "thesaurus.tsv",
+                  "--index-dir", tmp_path / "idx", "--output", tmp_path / "out" / "topics.txt")
+        return tmp_path, expand
+
+    DISAGREES = "disagrees with the analyzer settings of the index in {idx}"
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            (["--no-lowercase"], f"--lowercase: False {DISAGREES}"),
+            (["--unicode-form", "NFKD"], f"--unicode-form: 'NFKD' {DISAGREES}"),
+            (["--min-token-length", "2"], f"--min-token-length: 2 {DISAGREES}"),
+            (["--stopwords", "{other}"], f"--stopwords: '{{other}}' {DISAGREES}"),
+            (["--stopwords", "/nonexistent"], "--stopwords: path does not exist: /nonexistent"),
+            (["--config", "{conf}"], f"--lowercase: False {DISAGREES}"),
+        ],
+        ids=["lowercase", "unicode-form", "min-token-length", "stopwords", "missing-stopwords", "config-key"],
+    )
+    def test_a_disagreeing_analyzer_option_exits_1_naming_it(self, case, capsys, given, message):
+        tmp_path, expand = case
+        (tmp_path / "other.txt").write_text("the\n", encoding="utf-8")
+        (tmp_path / "exp.conf").write_text("lowercase=no\n", encoding="utf-8")
+        places = {"other": tmp_path / "other.txt", "conf": tmp_path / "exp.conf", "idx": tmp_path / "idx"}
+        assert run_cli(*expand, *(arg.format(**places) for arg in given)) == 1
+        assert capsys.readouterr().err == f"error: {message.format(**places)}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_config_file_shared_with_index_is_accepted(self, case, capsys):
+        tmp_path, expand = case
+        assert run_cli(*expand) == 0
+        alone = (tmp_path / "out" / "topics.txt").read_bytes()
+        (tmp_path / "exp.conf").write_text(
+            f"lowercase=yes\nunicode_form=NFC\nmin_token_length=1\nstopwords={tmp_path / 'stop.txt'}\n",
+            encoding="utf-8",
+        )
+        shutil.rmtree(tmp_path / "out")
+        assert run_cli(*expand, "--config", tmp_path / "exp.conf") == 0
+        assert (tmp_path / "out" / "topics.txt").read_bytes() == alone
+
+
 def test_inputs_under_a_directory_with_a_space(fixture_dir, tmp_path):
     ws = tmp_path / "my dir"
     ws.mkdir()
@@ -633,6 +682,22 @@ class TestCompareCommand:
         run_cli("eval", "--runs", ws / "runs_b", "--qrels", fixture_dir / "qrels.txt",
                 "--cutoff", 10, "--output-dir", ws / "eval_b")
         assert run_cli("compare", "--before", ws / "eval_a", "--after", ws / "eval_b") == 1
+
+
+@pytest.mark.parametrize("where", ["in-the-directory", "given-apart"])
+def test_two_run_files_of_one_model_exit_1_naming_both(workspace, fixture_dir, tmp_path, capsys, where):
+    """`eval` names its outputs by model, so a second run file of a model
+    would replace the first one's; it is an error before any output."""
+    runs = tmp_path / "runs"
+    shutil.copytree(workspace / "runs_before", runs)
+    other = (runs if where == "in-the-directory" else tmp_path) / "other.BM25.run"
+    shutil.copy(workspace / "runs_after" / "exp.BM25.run", other)
+    given = ("--runs", runs) if where == "in-the-directory" else ("--runs", runs, "--runs", other)
+    assert run_cli("eval", *given, "--qrels", fixture_dir / "qrels.txt", "--output-dir", tmp_path / "eval") == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --runs: {runs / 'exp.BM25.run'} and {other} are both run files of model BM25\n"
+    assert captured.out == ""
+    assert not (tmp_path / "eval").exists()
 
 
 class TestDotNamedFilesAreNotInputs:

@@ -638,14 +638,17 @@ class TestLoadMatchesTheScalarReference:
     )
     @example(docs=[("a\nb", 3), ("c", 0)], lexicon={})
     @example(docs=[("d1", 1)], lexicon={GUJARATI: (1, 2, 2**40, 3), "b" * 200: (3, 4, INT64_MAX, 1)})
+    # the walk's edges: an empty string; a Gujarati string, whose bytes hold
+    # no terminator, followed by a 9-byte number; a one-record lexicon
+    @example(docs=[("", 0), ("x", 1)], lexicon={"": (0, 0, 0, 0)})
+    @example(docs=[(GUJARATI, INT64_MAX)], lexicon={GUJARATI: (INT64_MAX, 1, INT64_MAX, 2)})
+    @example(docs=[("d1", 1)], lexicon={"t": (1, 1, 0, 2)})
     def test_tables(self, docs, lexicon):
         with tempfile.TemporaryDirectory() as tmp:
             _write_dir(Path(tmp), docs, lexicon)
             _assert_loads_as_the_reference(Path(tmp))
 
-    @pytest.mark.parametrize("chunk", [8, 1 << 14])
-    def test_chunks_and_long_strings(self, cfg, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(girit.index, "_LOAD_CHUNK", chunk)
+    def test_long_strings(self, cfg, tmp_path):
         docs = synth_corpus(random.Random(4), 200, vocab_size=300)
         docs.append(RawDocument("long\n" * 40, f"{'x' * 300} {GUJARATI * 40}"))
         build_index(docs, cfg).persist(tmp_path / "idx")
