@@ -34,13 +34,7 @@ from .evaluation import (
     parse_run,
     read_eval_summary,
 )
-from .expansion import (
-    ExpansionPolicy,
-    expand_query,
-    expand_topic,
-    expansion_stats,
-    load_thesaurus,
-)
+from .expansion import ExpansionPolicy, ExpansionStats, expand_query, expand_topic, load_thesaurus
 from .index import Index, build_index, build_index_to_dir, read_config
 from .models import MODEL_IDS, ModelParams, check_model_id
 from .retrieval import FIELD_SELECTIONS, build_query, oracle_rank, parse_topics, rank, write_run, write_topics
@@ -359,11 +353,13 @@ def cmd_expand(opts: dict) -> int:
     policy = _make(ExpansionPolicy, opts)
     output = _need(opts, "output")
     expanded_topics = []
+    added: dict[str, int] = {}
     for topic in topics:
         bag = build_query(topic, fields, cfg_analyzer)
         expanded = expand_query(bag, thesaurus, policy)
         expanded_topics.append(expand_topic(topic, bag, expanded))
-    stats = expansion_stats(topics, expanded_topics, fields, cfg_analyzer)
+        added[topic.qid] = len(expanded.terms) - len(bag.terms)
+    stats = ExpansionStats(added)
     # both files or neither
     with replacing(output) as fh, replacing(opts.get("stats_output") or output + ".stats.txt") as stats_fh:
         write_topics(expanded_topics, fh)
@@ -382,13 +378,21 @@ def _model_of_run_file(path: Path) -> str:
     return name
 
 
+def _one_per_model(name: str, kind: str, found) -> dict:
+    """model -> value from the (model, path, value) triples `found` of option
+    `name`; a second path of one model is a ConfigError naming both."""
+    paths, values = {}, {}
+    for model, path, value in found:
+        if model in paths:
+            raise ConfigError(f"{_flag(name)}: {paths[model]} and {path} are both {kind} files of model {model}")
+        paths[model], values[model] = path, value
+    return values
+
+
 def cmd_eval(opts: dict) -> int:
-    runs: dict[str, Path] = {}  # model -> its one run file; outputs are named by model
-    for path in _files_of(opts, "runs", "run", "evaluate", suffix=".run"):
-        model = _model_of_run_file(path)
-        if model in runs:
-            raise ConfigError(f"--runs: {runs[model]} and {path} are both run files of model {model}")
-        runs[model] = path
+    files = _files_of(opts, "runs", "run", "evaluate", suffix=".run")
+    # outputs are named by model, so a model has one run file
+    runs = _one_per_model("runs", "run", ((_model_of_run_file(p), p, p) for p in files))
     qrels = parse_qrels(_need_file(opts, "qrels"))
     _at_least(opts, "cutoff", 1)
     cutoff = opts["cutoff"]
@@ -408,11 +412,12 @@ def cmd_eval(opts: dict) -> int:
 
 
 def cmd_compare(opts: dict) -> int:
-    # a later file for a model wins
-    before, after = (
-        {s.model: s for s in map(read_eval_summary, _files_of(opts, side, "eval", "compare", ".eval"))}
-        for side in ("before", "after")
-    )
+    def summaries(side):
+        for path in _files_of(opts, side, "eval", "compare", ".eval"):
+            summary = read_eval_summary(path)
+            yield summary.model, path, summary
+
+    before, after = (_one_per_model(side, "eval", summaries(side)) for side in ("before", "after"))
     out_dir = _need(opts, "output_dir")
     try:
         report = compare(before, after)

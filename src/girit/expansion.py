@@ -14,23 +14,12 @@ in thesaurus order) until the per-query cap is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analysis import AnalyzerConfig, analyze
 from .errors import ThesaurusError
-from .retrieval import QueryBag, Topic, build_query
+from .retrieval import QueryBag, Topic
 from .util import read_text, reading
-
-
-@dataclass(frozen=True)
-class Thesaurus:
-    entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def synonyms(self, term: str) -> tuple[str, ...]:
-        return self.entries.get(term, ())
-
-    def __len__(self):
-        return len(self.entries)
 
 
 # an expanded title repeats each added term ceil(expanded_term_weight) times
@@ -56,10 +45,10 @@ class ExpansionPolicy:
             )
 
 
-def load_thesaurus(source, cfg: AnalyzerConfig) -> Thesaurus:
-    """Parse thesaurus TSV from a named input (see `util.reading`); duplicate
-    headword lines merge in first-seen order, self-synonyms and duplicates are
-    dropped."""
+def load_thesaurus(source, cfg: AnalyzerConfig) -> dict[str, tuple[str, ...]]:
+    """Parse thesaurus TSV from a named input (see `util.reading`) into
+    headword -> synonyms; duplicate headword lines merge in first-seen order,
+    self-synonyms and duplicates are dropped."""
     entries: dict[str, list[str]] = {}
     with reading(source) as fh:
         for lineno, line in enumerate(read_text(fh).splitlines(), start=1):
@@ -79,10 +68,12 @@ def load_thesaurus(source, cfg: AnalyzerConfig) -> Thesaurus:
                 for syn in analyze(cell, cfg):
                     if syn != head and syn not in bucket:
                         bucket.append(syn)
-    return Thesaurus(entries={h: tuple(s) for h, s in entries.items()})
+    return {h: tuple(s) for h, s in entries.items()}
 
 
-def expand_query(bag: QueryBag, thesaurus: Thesaurus, policy: ExpansionPolicy | None = None) -> QueryBag:
+def expand_query(
+    bag: QueryBag, thesaurus: dict[str, tuple[str, ...]], policy: ExpansionPolicy | None = None
+) -> QueryBag:
     """Additively expand a query bag with thesaurus synonyms.
 
     Original terms are visited by (qtf desc, term asc); each contributes its
@@ -97,7 +88,7 @@ def expand_query(bag: QueryBag, thesaurus: Thesaurus, policy: ExpansionPolicy | 
     for term in sorted(bag.terms, key=lambda t: (-bag.terms[t], t)):
         if budget <= 0:
             break
-        synonyms = thesaurus.synonyms(term)
+        synonyms = thesaurus.get(term, ())
         if policy.max_synonyms_per_term is not None:
             synonyms = synonyms[: policy.max_synonyms_per_term]
         for syn in synonyms:
@@ -130,26 +121,13 @@ def expand_topic(topic: Topic, bag: QueryBag, expanded: QueryBag) -> Topic:
 
 @dataclass(frozen=True)
 class ExpansionStats:
-    added_per_query: dict[str, int]
-    mean_added: float
+    added_per_query: dict[str, int]  # qid -> the number of terms expansion added
+
+    @property
+    def mean_added(self) -> float:
+        return sum(self.added_per_query.values()) / len(self.added_per_query) if self.added_per_query else 0.0
 
     def as_text(self) -> str:
         lines = [f"{qid}: {n}" for qid, n in self.added_per_query.items()]
         lines.append(f"mean_added: {self.mean_added:.4f}")
         return "\n".join(lines) + "\n"
-
-
-def expansion_stats(original, expanded, fields: str, cfg: AnalyzerConfig) -> ExpansionStats:
-    """Per-query added-term counts between two topic sets, plus the mean."""
-    orig_by_qid = {t.qid: t for t in original}
-    exp_by_qid = {t.qid: t for t in expanded}
-    if orig_by_qid.keys() != exp_by_qid.keys():
-        missing = orig_by_qid.keys() ^ exp_by_qid.keys()
-        raise ThesaurusError(f"qid mismatch between topic sets: {sorted(missing)}")
-    added: dict[str, int] = {}
-    for qid in orig_by_qid:
-        before = build_query(orig_by_qid[qid], fields, cfg)
-        after = build_query(exp_by_qid[qid], fields, cfg)
-        added[qid] = len(after.terms) - len(before.terms)
-    mean = sum(added.values()) / len(added) if added else 0.0
-    return ExpansionStats(added_per_query=added, mean_added=mean)

@@ -305,9 +305,9 @@ def decode_varints(data, offset: int, count: int, nbytes: int) -> np.ndarray:
     """Decode the `nbytes`-byte block at `offset` of `data`, which must hold
     exactly `count` varints and end on a terminator byte, into int64 values.
 
-    Terminators are the bytes below 0x80; each value is its 7-bit groups
-    shifted into place and OR-ed together. A block that breaks the contract
-    raises IndexStoreError naming the byte offset.
+    Terminators are the bytes below 0x80; the values are decoded by
+    `_varints`. A block that breaks the contract raises IndexStoreError
+    naming the byte offset.
     """
     if offset + nbytes > len(data):
         raise _block_error(offset, f"{nbytes} bytes overrun the {len(data)}-byte buffer")
@@ -323,13 +323,11 @@ def decode_varints(data, offset: int, count: int, nbytes: int) -> np.ndarray:
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    widths = ends - starts + 1
+    values, widths = _varints(block, starts, ends)
     if widths.max() > MAX_VARINT_BYTES:
         at = offset + int(starts[np.argmax(widths)])
         raise IndexStoreError(f"varint at byte offset {at} is longer than {MAX_VARINT_BYTES} bytes")
-    shifts = 7 * (np.arange(nbytes) - np.repeat(starts, widths))
-    groups = (block & 0x7F).astype(np.int64) << shifts
-    return np.bitwise_or.reduceat(groups, starts)
+    return values
 
 
 def _block_error(offset: int, detail: str) -> IndexStoreError:

@@ -349,8 +349,8 @@ def test_c6_format_round_trips(tmp_path):
         # thesaurus TSV: load -> emit -> load preserves every entry
         th_text = "tv\ttelevision|telly\nfast\tquick\n"
         th = load_thesaurus(io.StringIO(th_text), cfg)
-        emitted = "".join(f"{h}\t{'|'.join(s)}\n" for h, s in th.entries.items())
-        assert load_thesaurus(io.StringIO(emitted), cfg).entries == th.entries
+        emitted = "".join(f"{h}\t{'|'.join(s)}\n" for h, s in th.items())
+        assert load_thesaurus(io.StringIO(emitted), cfg) == th
 
         # index: persist/load value-exact, re-persist byte-exact, corruption detected
         corpus = synth_corpus(random.Random(4), 120)

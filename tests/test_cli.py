@@ -558,6 +558,18 @@ class TestExpandCommand:
         assert [t.qid for t in expanded] == [t.qid for t in parse_topics(fixture_dir / "topics.txt")]
         assert (tmp_path / stats).read_text(encoding="utf-8") in capsys.readouterr().out
 
+    def test_each_topic_is_analyzed_once(self, fixture_dir, tmp_path, monkeypatch):
+        """The stats file's counts come from the query bags expansion built,
+        not from analyzing the topics again."""
+        import girit.retrieval
+
+        calls = []
+        analyze = girit.retrieval.analyze
+        monkeypatch.setattr(girit.retrieval, "analyze", lambda text, cfg: calls.append(text) or analyze(text, cfg))
+        assert run_cli("expand", "--topics", fixture_dir / "topics.txt", "--thesaurus",
+                       fixture_dir / "thesaurus.tsv", "--output", tmp_path / "expanded.txt") == 0
+        assert len(calls) == len(parse_topics(fixture_dir / "topics.txt"))
+
     def test_index_dir_borrows_analyzer_from_header_only(self, fixture_dir, tmp_path, monkeypatch):
         assert (
             run_cli("index", "--corpus", fixture_dir / "corpus.trec", "--index-dir", tmp_path / "idx",
@@ -698,6 +710,26 @@ def test_two_run_files_of_one_model_exit_1_naming_both(workspace, fixture_dir, t
     assert captured.err == f"error: --runs: {runs / 'exp.BM25.run'} and {other} are both run files of model BM25\n"
     assert captured.out == ""
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_two_eval_files_of_one_model_on_a_side_exit_1_naming_both(workspace, tmp_path, capsys, side):
+    """`compare` reads the model from each .eval file; a second file of a
+    model on one side is an error, not a silent choice between the two."""
+    evals = {s: workspace / f"eval_{s}" for s in ("before", "after")}
+    evals[side] = tmp_path / side
+    shutil.copytree(workspace / f"eval_{side}", evals[side])
+    other = "after" if side == "before" else "before"
+    shutil.copy(workspace / f"eval_{other}" / "BM25.eval", evals[side] / "zz.eval")
+    assert run_cli("compare", "--before", evals["before"], "--after", evals["after"],
+                   "--output-dir", tmp_path / "cmp") == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: --{side}: {evals[side] / 'BM25.eval'} and {evals[side] / 'zz.eval'} "
+        "are both eval files of model BM25\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "cmp").exists()
 
 
 class TestDotNamedFilesAreNotInputs:

@@ -1,5 +1,7 @@
 import io
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -465,3 +467,30 @@ class TestEvalResultFiles:
         path.write_text("not: an eval file\n", encoding="utf-8")
         with pytest.raises(RunFileError):
             read_eval_summary(path)
+
+
+def test_trec_eval_order_moves_map_within_a_bound_and_recall_not_at_all(tmp_path):
+    """trec_eval ignores the rank column and orders each topic by score,
+    descending, then by docid, descending (Cabanac et al., CLEF 2010); girit
+    writes ties by docid, ascending. On every run file of the README quick
+    start the two orders retrieve the same relevant documents, and MAP
+    differs by at most 0.001."""
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    data, work = tmp_path / "data", tmp_path / "work"
+    runpy.run_path(str(scripts / "make_corpus.py"))["main"](["fixture", "--out", str(data)])
+    assert runpy.run_path(str(scripts / "run_experiment.py"))["main"](["--data", str(data), "--work", str(work)]) == 0
+    qrels = parse_qrels(data / "qrels.txt")
+    paths = sorted(work.glob("runs_*/*.run"))
+    assert len(paths) == 2 * len(MODEL_IDS)
+    moved = 0
+    for path in paths:
+        run = parse_run(path)
+        resorted = {}
+        for qid, rl in run.items():
+            ordered = sorted(rl.entries, key=lambda e: (e[2], e[0]), reverse=True)
+            resorted[qid] = RankedList(qid, [(docid, r, score) for r, (docid, _, score) in enumerate(ordered, 1)])
+        ours, theirs = (evaluate_run(r, qrels, 1000) for r in (run, resorted))
+        assert theirs.total_relevant_retrieved == ours.total_relevant_retrieved, path
+        assert abs(theirs.mean_average_precision - ours.mean_average_precision) <= 0.001, path
+        moved += theirs.mean_average_precision != ours.mean_average_precision
+    assert moved  # the fixture holds ties that mix relevant and non-relevant documents

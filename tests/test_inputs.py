@@ -31,7 +31,7 @@ def parse(kind, source):
     if kind == "run":
         return parse_run(source)
     if kind == "thesaurus":
-        return load_thesaurus(source, AnalyzerConfig()).entries
+        return load_thesaurus(source, AnalyzerConfig())
     return load_stopwords(source)
 
 
